@@ -52,7 +52,10 @@ def coherent_information(c: Channel, rho, base: float = 2.0) -> float:
 
     Independent of the complement representative (only spectra enter).
     """
-    comp = complement(c)
+    return _coherent_information(c, complement(c), rho, base)
+
+
+def _coherent_information(c: Channel, comp: Channel, rho, base: float) -> float:
     out = apply(c.superop, rho)
     env = apply(comp.superop, rho)
     return von_neumann_entropy(out, base) - von_neumann_entropy(env, base)
@@ -130,9 +133,10 @@ def one_shot_optimize(c: Channel, cfg: OptimizerConfig, base: float = 2.0) -> Ca
         raise ValueError("one-shot optimizer limited to input dimension <= 4")
     d = c.d_in
     rng = np.random.default_rng(cfg.seed)
+    comp = complement(c)
 
     def neg_ic(x):
-        return -coherent_information(c, _state_from_params(x, d), base)
+        return -_coherent_information(c, comp, _state_from_params(x, d), base)
 
     starts = [np.concatenate([np.eye(d).reshape(-1), np.zeros(d * d)])]
     for _ in range(cfg.restarts - 1):
@@ -147,7 +151,7 @@ def one_shot_optimize(c: Channel, cfg: OptimizerConfig, base: float = 2.0) -> Ca
         if -res.fun > best_val:
             best_val = -res.fun
             best_state = _state_from_params(res.x, d)
-    mixed = coherent_information(c, np.eye(d) / d, base)
+    mixed = _coherent_information(c, comp, np.eye(d) / d, base)
     if mixed > best_val:
         best_val, best_state = mixed, np.eye(d) / d
     return CapacityResult(

@@ -23,6 +23,7 @@ from .linalg import (
     Tolerance,
     hermitian_eigs,
     numeric_rank,
+    psd_floor,
     row_flatten,
 )
 
@@ -213,22 +214,15 @@ def compose(M: SuperOp, N: SuperOp) -> SuperOp:
 def is_cp(R: ChoiMatrix, tol: Tolerance = DEFAULT_TOL):
     """(CP?, minimal eigenvalue) -- CP iff lambda_min >= -psd_tol * trace."""
     w, _ = hermitian_eigs(R.matrix, tol)
-    tr = max(abs(float(np.trace(R.matrix).real)), 1.0)
-    return bool(w[0] >= -tol.psd_tol * tr), float(w[0])
+    return bool(w[0] >= psd_floor(R.matrix, tol)), float(w[0])
 
 
 def is_tp(R: ChoiMatrix, tol: Tolerance = DEFAULT_TOL):
-    """(TP?, deviation) -- TP iff Tr_B R = I_A within residual_tol."""
+    """(TP?, deviation) -- TP iff Tr_B R = I_A within tp_tol."""
     R4 = R.matrix.reshape(R.d_in, R.d_out, R.d_in, R.d_out)
     trB = np.einsum("klml->km", R4)
     dev = float(np.linalg.norm(trB - np.eye(R.d_in)))
-    return dev <= tol.residual_tol, dev
-
-
-def partial_trace_out(R: ChoiMatrix):
-    """Tr_A of the Choi matrix (the average output times d_in)."""
-    R4 = R.matrix.reshape(R.d_in, R.d_out, R.d_in, R.d_out)
-    return np.einsum("klkn->ln", R4)
+    return dev <= tol.tp_tol, dev
 
 
 def partial_transpose(R: ChoiMatrix, subsystem="A") -> np.ndarray:
@@ -248,8 +242,7 @@ def is_ppt(R: ChoiMatrix, tol: Tolerance = DEFAULT_TOL):
     """True when the partial transpose of the Choi matrix is PSD."""
     pt = partial_transpose(R, "A")
     w = np.linalg.eigvalsh((pt + pt.conj().T) / 2)
-    tr = max(abs(float(np.trace(R.matrix).real)), 1.0)
-    return bool(w[0] >= -tol.psd_tol * tr)
+    return bool(w[0] >= psd_floor(R.matrix, tol))
 
 
 @dataclass(frozen=True)
@@ -276,10 +269,6 @@ class Channel:
 
     def __call__(self, rho):
         return apply(self.superop, rho)
-
-
-def channel_from_choi(R: ChoiMatrix, label="", tol: Tolerance = DEFAULT_TOL) -> Channel:
-    return Channel(choi_to_kraus(R, tol), label=label)
 
 
 def complement(c, label=None) -> Channel:
@@ -312,28 +301,29 @@ def choi_rank(c: Channel, tol: Tolerance = DEFAULT_TOL) -> int:
     return numeric_rank(c.choi.matrix, tol)
 
 
+def to_pairs(A) -> list:
+    """A complex matrix as row-major [re, im] pairs, the JSON encoding."""
+    return [[[float(x.real), float(x.imag)] for x in row] for row in A]
+
+
+def from_pairs(rows) -> np.ndarray:
+    return np.array([[complex(re, im) for re, im in row] for row in rows])
+
+
 def channel_to_dict(c: Channel) -> dict:
-    """JSON-serializable form: operators stored as row-major [re, im] pairs."""
-    ops = [
-        [[[float(x.real), float(x.imag)] for x in row] for row in K]
-        for K in c.kraus.operators
-    ]
     return {
         "schema_version": SCHEMA_VERSION,
         "label": c.label,
         "d_in": c.d_in,
         "d_out": c.d_out,
-        "kraus": ops,
+        "kraus": [to_pairs(K) for K in c.kraus.operators],
     }
 
 
 def channel_from_dict(doc: dict) -> Channel:
     try:
         d_in, d_out = int(doc["d_in"]), int(doc["d_out"])
-        ops = tuple(
-            np.array([[complex(re, im) for re, im in row] for row in K])
-            for K in doc["kraus"]
-        )
+        ops = tuple(from_pairs(K) for K in doc["kraus"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed channel document: {exc}") from exc
     return Channel(KrausSet(d_in, d_out, ops), label=str(doc.get("label", "")))

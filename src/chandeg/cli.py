@@ -15,7 +15,7 @@ import numpy as np
 
 from . import capacity as cap
 from . import zoo
-from .channel import Channel, channel_from_dict, complement
+from .channel import SCHEMA_VERSION, Channel, channel_from_dict, complement
 from .degradability import (
     Mode,
     Query,
@@ -24,14 +24,11 @@ from .degradability import (
     decide,
     ecd_screen,
     superop_from_pairs,
-    superop_to_pairs,
     verdict_to_dict,
     verify_certificate,
 )
-from .channel import SuperOp, superop_to_choi
-from .linalg import Tolerance, hermitian_eigs
-
-SCHEMA_VERSION = 1
+from .channel import superop_to_choi
+from .linalg import DEFAULT_TOL, Tolerance, hermitian_eigs
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -44,17 +41,14 @@ class CliError(ValueError):
 
 
 def _tolerance_from_env(args) -> Tolerance:
-    def pick(flag_value, env_name, default):
-        if flag_value is not None:
-            return flag_value
-        raw = os.environ.get(env_name)
-        return float(raw) if raw else default
-
-    return Tolerance(
-        rank_tol=pick(args.rank_tol, "CHANDEG_RANK_TOL", 1e-10),
-        psd_tol=pick(args.psd_tol, "CHANDEG_PSD_TOL", 1e-9),
-        residual_tol=pick(args.residual_tol, "CHANDEG_RESIDUAL_TOL", 1e-9),
-    )
+    """Each tolerance from its flag, else CHANDEG_<NAME>, else the default."""
+    values = {}
+    for name in ("rank_tol", "psd_tol", "residual_tol"):
+        values[name] = getattr(args, name)
+        if values[name] is None:
+            raw = os.environ.get(f"CHANDEG_{name.upper()}")
+            values[name] = float(raw) if raw else getattr(DEFAULT_TOL, name)
+    return Tolerance(**values)
 
 
 def _parse_kv(body, keys):
@@ -215,7 +209,9 @@ def cmd_verify(args) -> int:
             doc = json.load(fh)
         chan = parse_channel(doc["channel"])
         mode = Mode(doc["mode"])
-        cert = superop_from_pairs(doc["d_in"], doc["d_out"], doc["matrix"])
+        # A decide verdict nests its certificate; a stored certificate is flat.
+        body = doc["certificate"] if "certificate" in doc else doc
+        cert = superop_from_pairs(body["d_in"], body["d_out"], body["matrix"])
     except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise CliError(f"unreadable certificate: {exc}") from exc
     ok, report = verify_certificate(chan, mode, cert, tol)
@@ -224,18 +220,6 @@ def cmd_verify(args) -> int:
     report["mode"] = doc["mode"]
     _emit(_json(report), args.output)
     return EXIT_YES if ok else EXIT_NO
-
-
-def certificate_document(channel_spec: str, mode: Mode, cert: SuperOp) -> dict:
-    """Serializable certificate, re-loadable by the verify command."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "channel": channel_spec,
-        "mode": mode.value,
-        "d_in": cert.d_in,
-        "d_out": cert.d_out,
-        "matrix": superop_to_pairs(cert),
-    }
 
 
 def build_parser():
@@ -255,9 +239,9 @@ def build_parser():
     p.add_argument("--channel", required=True)
     p.add_argument("--mode", required=True, choices=[m.value for m in Mode])
     p.add_argument("--search", action="store_true", help="search the solution family")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=32)
-    p.add_argument("--max-iters", type=int, default=2000)
+    p.add_argument("--seed", type=int, default=None, help="required with --search; only echoed, the search is deterministic")
+    p.add_argument("--restarts", type=int, default=32, help="ignored")
+    p.add_argument("--max-iters", type=int, default=2000, help="search iteration bound")
     common(p)
     p.set_defaults(func=cmd_decide)
 

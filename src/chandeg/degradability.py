@@ -8,41 +8,52 @@ matrix equation ``known @ D = target`` between superoperators:
 * CONJ_DEGRADABLE:       channel @ D = complement @ C   (C = conjugation)
 * CONJ_ANTIDEGRADABLE:   complement @ D = channel @ C
 
-The pseudoinverse candidate ``D0 = pinv(known) @ target`` is the unique
-solution exactly when the known map's matrix has full rank and its output
-dimension does not exceed its input dimension; only then can a candidate with
-negative Choi eigenvalues rule the property out.  Otherwise the full solution
-family is an affine subspace and a convex penalty search over it can still
-produce a completely positive certificate.
+One SVD of the known matrix gives the pseudoinverse candidate
+``D0 = pinv(known) @ target``; the solutions are ``D0 + K X`` with K spanning
+the null space of known.  D0 is the unique solution exactly when the known
+map's matrix has full rank and its output dimension does not exceed its input
+dimension; only then can a candidate with negative Choi eigenvalues rule the
+property out.  Otherwise the trace- and Hermiticity-preserving solutions form
+an affine set A, and ``kernel_search`` decides whether A meets the PSD Choi
+cone by alternating projections (Bauschke & Borwein, SIAM Review 38 (1996)).
 """
 
-import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
-from scipy.optimize import minimize
+
+# The tracer in perfbench/ patches these names in this module, so they stay
+# importable here although the engine itself no longer calls them.
+from scipy.optimize import minimize  # noqa: F401
 
 from .channel import (
+    SCHEMA_VERSION,
     Channel,
+    ChoiMatrix,
     SuperOp,
     choi_rank,
+    choi_to_superop,
     complement,
+    from_pairs,
     is_cp,
     is_ppt,
+    is_tp,
     superop_to_choi,
+    to_pairs,
 )
-from .linalg import (
+from .linalg import (  # noqa: F401  (kernel_basis, pseudoinverse: see above)
     DEFAULT_TOL,
     Tolerance,
     hermitian_eigs,
     kernel_basis,
     numeric_rank,
+    psd_floor,
     pseudoinverse,
+    svd_pinv,
 )
-
-VERDICT_SCHEMA_VERSION = 1
-
 
 class Mode(str, Enum):
     DEGRADABLE = "degradable"
@@ -59,45 +70,89 @@ class Query:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Deterministic feasibility-search configuration (seed is mandatory)."""
+    """Feasibility-search configuration: ``max_iters`` bounds the iterations;
+    the search is deterministic, ``seed`` and ``restarts`` are ignored."""
 
     seed: int
     restarts: int = 32
     max_iters: int = 2000
-    step: float = 1.0
     tol: Tolerance = DEFAULT_TOL
+
+
+@dataclass(frozen=True)
+class Witness:
+    """Proof that no CP map solves the system: a PSD Choi-space matrix Z,
+    orthogonal to the directions of the trace-preserving solution set, with
+    <Z, R> = margin < -psd_tol * trace(R) * Tr(Z) on that set (while
+    <Z, R> >= 0 for every PSD R)."""
+
+    choi: np.ndarray
+    margin: float
 
 
 @dataclass(frozen=True)
 class Verdict:
     status: str  # YES / NO / INCONCLUSIVE
     mode: Mode
-    candidate: SuperOp
     candidate_choi_eigs: tuple
     unique: bool
     kernel_dim: int
     residual: float
     consistent: bool
     certificate: SuperOp | None = None
+    witness: Witness | None = None
 
 
 @dataclass(frozen=True)
 class KernelFamily:
-    """Affine family base + sum_i alpha_i * unvec(b_i) of all solutions."""
+    """Least-squares solutions base + K X of known @ D = target; K spans the
+    complement of ``rowspace`` (orthonormal rows), the null space of known."""
 
     base: SuperOp
-    basis: tuple  # flattened kernel vectors of known (x) I
-    known: SuperOp = field(repr=False)
-    target: SuperOp = field(repr=False)
+    rowspace: np.ndarray = field(repr=False)
+    residual: float
+    consistent: bool
 
-    def member(self, coeffs):
-        coeffs = np.asarray(coeffs, dtype=complex)
-        if coeffs.shape != (len(self.basis),):
-            raise ValueError(f"expected {len(self.basis)} coefficients")
-        D = self.base.matrix.copy()
-        for a, b in zip(coeffs, self.basis):
-            D += a * b.reshape(D.shape)
-        return SuperOp(self.base.d_in, self.base.d_out, D)
+    @property
+    def kernel_dim(self) -> int:
+        rows, cols = self.base.matrix.shape
+        return (rows - self.rowspace.shape[0]) * cols
+
+    @cached_property
+    def kernel(self) -> np.ndarray:
+        """K, with orthonormal columns."""
+        rank = self.rowspace.shape[0]
+        return np.linalg.qr(self.rowspace.conj().T, mode="complete")[0][:, rank:]
+
+    @property
+    def basis(self):
+        """The directions kron(k_i, e_j), each built when indexed."""
+        return _Directions(self)
+
+    def project(self, D):
+        """The trace-preserving member nearest to D: D0 + K K^H D (with
+        K K^H = I - V^H V), then the rank-one step onto D u = vec(I), u = vec(I).
+        Hermitizing the Choi matrix commutes with it."""
+        V = self.rowspace
+        D = self.base.matrix + D - V.conj().T @ (V @ D)
+        u = np.eye(self.base.d_out).reshape(-1)
+        r = np.eye(self.base.d_in).reshape(-1) - D @ u
+        r -= V.conj().T @ (V @ r)
+        return D + np.outer(r, u) / self.base.d_out
+
+
+class _Directions(Sequence):
+    def __init__(self, family: KernelFamily):
+        self._family = family
+
+    def __len__(self):
+        return self._family.kernel_dim
+
+    def __getitem__(self, index):
+        if not 0 <= index < len(self):
+            raise IndexError(index)
+        cols = self._family.base.matrix.shape[1]
+        return np.kron(self._family.kernel[:, index // cols], np.eye(cols)[index % cols])
 
 
 def swap_superop(d: int) -> SuperOp:
@@ -114,22 +169,29 @@ def swap_superop(d: int) -> SuperOp:
     return SuperOp(d, d, C)
 
 
-def candidate_map(known: SuperOp, target: SuperOp, tol: Tolerance = DEFAULT_TOL):
-    """Least-squares candidate D = pinv(known) @ target.
-
-    Returns (candidate, consistent, residual); consistency is the solvability
-    of known @ D = target, checked through the residual of the least-squares
-    solution (equivalent to the rank test on the augmented system).
-    """
+def _solutions(known: SuperOp, target: SuperOp, tol: Tolerance) -> KernelFamily:
+    """The least-squares family of known @ D = target, from one SVD of known;
+    consistent when the least-squares residual vanishes."""
     if known.d_in != target.d_in:
         raise ValueError(
             f"known map input dim {known.d_in} != target input dim {target.d_in}"
         )
-    D = pseudoinverse(known.matrix, tol) @ target.matrix
+    pinv, _, rowspace = svd_pinv(known.matrix, tol)
+    D = pinv @ target.matrix
     residual = float(np.linalg.norm(known.matrix @ D - target.matrix))
     scale = max(1.0, float(np.linalg.norm(target.matrix)))
-    consistent = residual <= tol.residual_tol * scale
-    return SuperOp(known.d_out, target.d_out, D), consistent, residual
+    return KernelFamily(
+        base=SuperOp(known.d_out, target.d_out, D),
+        rowspace=rowspace,
+        residual=residual,
+        consistent=residual <= tol.residual_tol * scale,
+    )
+
+
+def candidate_map(known: SuperOp, target: SuperOp, tol: Tolerance = DEFAULT_TOL):
+    """Least-squares candidate D = pinv(known) @ target: (D, consistent, residual)."""
+    family = _solutions(known, target, tol)
+    return family.base, family.consistent, family.residual
 
 
 def uniqueness(d_a: int, d_b: int, rank_known: int) -> bool:
@@ -143,130 +205,65 @@ def uniqueness(d_a: int, d_b: int, rank_known: int) -> bool:
 
 
 def kernel_family(known: SuperOp, target: SuperOp, tol: Tolerance = DEFAULT_TOL) -> KernelFamily:
-    """All solutions of known @ D = target as base + null-space directions.
-
-    The kernel of known (x) I factorizes as {k_i (x) e_j} over the SVD null
-    space of the known matrix alone, so basis vectors are built structurally
-    (identical span, orthonormal).
-    """
-    D0, consistent, residual = candidate_map(known, target, tol)
-    if not consistent:
+    """All solutions of known @ D = target as base + null-space directions
+    (the kernel of known (x) I is {k_i (x) e_j}: it is kept as known's row
+    space, not as a list of directions)."""
+    family = _solutions(known, target, tol)
+    if not family.consistent:
         raise InconsistentSystem(
-            f"composition equation unsolvable (residual {residual:.3e})"
+            f"composition equation unsolvable (residual {family.residual:.3e})"
         )
-    cols = target.d_out ** 2
-    basis = []
-    for k in kernel_basis(known.matrix, tol):
-        for j in range(cols):
-            e = np.zeros(cols)
-            e[j] = 1.0
-            basis.append(np.kron(k, e))
-    return KernelFamily(base=D0, basis=tuple(basis), known=known, target=target)
+    return family
 
 
 class InconsistentSystem(ValueError):
     """The composition equation has no solution at all."""
 
 
-def _partial_trace_B(R, d_in, d_out):
-    return np.einsum("klml->km", R.reshape(d_in, d_out, d_in, d_out))
-
-
-def _choi_stacks(family: KernelFamily):
-    """Hermitian/anti-Hermitian Choi parts (and output partial traces) of the
-    base point and every search direction.
-
-    Each complex coefficient is split into two real parameters; parameter 2m
-    scales reshuffle(B_m), parameter 2m+1 scales reshuffle(i*B_m).
-    """
-    d_in, d_out = family.base.d_in, family.base.d_out
-    R0 = superop_to_choi(family.base).matrix
-    H0, S0 = (R0 + R0.conj().T) / 2, (R0 - R0.conj().T) / 2
-    T0 = _partial_trace_B(R0, d_in, d_out) - np.eye(d_in)
-    Hs, Ss, Ts = [], [], []
-    for b in family.basis:
-        C = superop_to_choi(SuperOp(d_in, d_out, b.reshape(family.base.matrix.shape))).matrix
-        for Cm in (C, 1j * C):
-            Hs.append((Cm + Cm.conj().T) / 2)
-            Ss.append((Cm - Cm.conj().T) / 2)
-            Ts.append(_partial_trace_B(Cm, d_in, d_out))
-    return H0, S0, T0, np.array(Hs), np.array(Ss), np.array(Ts)
+def _hermitian_choi(D, d_mid, d_tgt):
+    R = superop_to_choi(SuperOp(d_mid, d_tgt, D)).matrix
+    return (R + R.conj().T) / 2
 
 
 def kernel_search(family: KernelFamily, cfg: SearchConfig):
-    """Search the solution family for a map with PSD Choi.
+    """Look for a CPTP member of a consistent family by alternating projections.
 
-    Minimizes the convex penalty
-        f(x) = sum_i min(0, lambda_i(Herm R(x)))^2 + ||antiherm R(x)||_F^2
-               + ||Tr_B R(x) - I||_F^2
-    over real coordinates with L-BFGS-B and an analytic gradient, restarting
-    from seeded random points (restart r uses seed + r; restart 0 starts at the
-    pseudoinverse candidate).  The trace-preservation term restricts the search
-    to genuine channels, so a returned certificate is a CP, TP degrading map.
-    Returns None when no restart converges to a feasible point; absence of a
-    result is not evidence of nonexistence.
+    From the trace-preserving projection of the base, each iteration takes the
+    Hermitian Choi matrix R of a point of A (the trace- and Hermiticity-
+    preserving solutions) and returns that point if R is PSD within psd_tol;
+    else it clips R's negative eigenvalues (P) and projects back onto A (R').
+    P - R' is orthogonal to A's directions, and so is I (they have zero
+    trace), so Z = P - R' + mu I, mu = max(0, -lambda_min(P - R')), is PSD; it
+    is returned as a Witness when <Z, R'> < psd_floor(R') * Tr(Z).
+
+    Returns the certificate (SuperOp), a Witness, or None after ``max_iters``.
     """
     tol = cfg.tol
-    k = len(family.basis)
-    if k == 0:
-        return None
-    H0, S0, T0, Hs, Ss, Ts = _choi_stacks(family)
-    n = H0.shape[0]
-    d_in = family.base.d_in
-    nH = Hs.reshape(2 * k, n * n)
-    nS = Ss.reshape(2 * k, n * n)
-    nT = Ts.reshape(2 * k, d_in * d_in)
-
-    def objective(x):
-        H = H0 + (x @ nH).reshape(n, n)
-        S = S0 + (x @ nS).reshape(n, n)
-        T = T0 + (x @ nT).reshape(d_in, d_in)
-        w, v = np.linalg.eigh(H)
-        neg = w < 0
-        f = float(np.sum(w[neg] ** 2) + np.linalg.norm(S) ** 2 + np.linalg.norm(T) ** 2)
-        grad = 2.0 * (nS @ S.reshape(-1).conj()).real
-        grad += 2.0 * (nT @ T.reshape(-1).conj()).real
-        if np.any(neg):
-            V = v[:, neg]
-            tmp = (Hs.reshape(2 * k * n, n) @ V).reshape(2 * k, n, -1)
-            quad = np.einsum("ai,mai->mi", V.conj(), tmp).real
-            grad += 2.0 * quad @ w[neg]
-        return f, grad
-
-    def accept(x):
-        D = family.member(x[0::2] + 1j * x[1::2])
-        R = superop_to_choi(D).matrix
-        w, _ = hermitian_eigs(R, tol)
-        tr = max(abs(float(np.trace(R).real)), 1.0)
-        herm_dev = float(np.linalg.norm(R - R.conj().T))
-        tp_dev = float(np.linalg.norm(_partial_trace_B(R, D.d_in, D.d_out) - np.eye(D.d_in)))
-        resid = float(np.linalg.norm(family.known.matrix @ D.matrix - family.target.matrix))
-        scale = max(1.0, float(np.linalg.norm(family.target.matrix)))
-        if (
-            w[0] >= -tol.psd_tol * tr
-            and herm_dev <= 1e3 * tol.residual_tol
-            and tp_dev <= 1e3 * tol.residual_tol
-            and resid <= tol.residual_tol * scale
-        ):
-            return D
-        return None
-
-    for restart in range(cfg.restarts):
-        if restart == 0:
-            x0 = np.zeros(2 * k)
-        else:
-            rng = np.random.default_rng(cfg.seed + restart)
-            x0 = cfg.step * rng.standard_normal(2 * k)
-        res = minimize(
-            objective,
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": cfg.max_iters, "ftol": 1e-18, "gtol": 1e-14},
-        )
-        found = accept(res.x)
-        if found is not None:
-            return found
+    d_mid, d_tgt = family.base.d_in, family.base.d_out
+    R = _hermitian_choi(family.project(family.base.matrix), d_mid, d_tgt)
+    for iteration in range(cfg.max_iters + 1):
+        w, v = hermitian_eigs(R, tol)
+        floor = psd_floor(R, tol)
+        if w[0] >= floor:
+            return choi_to_superop(ChoiMatrix(d_mid, d_tgt, R))
+        if iteration == cfg.max_iters:
+            return None
+        P = (v * np.maximum(w, 0.0)) @ v.conj().T
+        D = family.project(choi_to_superop(ChoiMatrix(d_mid, d_tgt, P)).matrix)
+        R = _hermitian_choi(D, d_mid, d_tgt)
+        # A witness costs a second eigendecomposition, so it is tried only
+        # after iterations 1, 2, 4, 8, ... and the last; it converges with
+        # the iterates, so a NO comes at most about twice as late.
+        if iteration & (iteration + 1) and iteration + 1 < cfg.max_iters:
+            continue
+        Z = P - R
+        margin = float(np.vdot(Z, R).real)
+        if margin < 0.0:
+            mu = max(0.0, -float(np.linalg.eigvalsh(Z)[0]))
+            margin += mu * float(np.trace(R).real)
+            Z += mu * np.eye(len(Z))
+            if margin < floor * float(np.trace(Z).real):
+                return Witness(choi=Z, margin=margin)
     return None
 
 
@@ -300,56 +297,58 @@ def _build_system(q: Query):
 def decide(q: Query, cfg: SearchConfig | None = None, search: bool = False) -> Verdict:
     """Tri-state decision for one degradability mode.
 
-    NO is returned only when the system is inconsistent (no solution exists)
-    or the solution is provably unique and fails complete positivity; a
-    negative candidate alone is inconclusive when the family is nontrivial.
+    NO is returned only with evidence: the system is inconsistent (no
+    solution exists), the solution is unique and fails complete positivity,
+    or the search found a Witness.  YES carries a CPTP certificate: the unique
+    solution, the trace-preserving projection of a CP pseudoinverse
+    candidate, or the search's point.  A non-unique system is otherwise
+    INCONCLUSIVE.
     """
+    if search and cfg is None:
+        raise ValueError("kernel search requires an explicit SearchConfig")
     tol = cfg.tol if cfg is not None else DEFAULT_TOL
     known, target = _build_system(q)
-    rank_known = numeric_rank(known.matrix, tol)
-    unique = uniqueness(known.d_in, known.d_out, rank_known)
-    D0, consistent, residual = candidate_map(known, target, tol)
-    R0 = superop_to_choi(D0)
-    eigs, _ = hermitian_eigs(R0.matrix, tol)
-    cand_cp, _ = is_cp(R0, tol)
-    kernel_dim = (known.d_out**2 - rank_known) * target.d_out**2
+    family = _solutions(known, target, tol)
+    unique = uniqueness(known.d_in, known.d_out, family.rowspace.shape[0])
+    R0 = superop_to_choi(family.base).matrix
+    eigs, _ = hermitian_eigs(R0, tol)
+    cand_cp = bool(eigs[0] >= psd_floor(R0, tol))
 
-    certificate = None
-    if not consistent:
+    found = None
+    if not family.consistent:
         status = "NO"
-    elif cand_cp:
-        status = "YES"
-        certificate = D0
     elif unique:
-        status = "NO"
+        status = "YES" if cand_cp else "NO"
+        found = family.base if cand_cp else None
+    elif search or cand_cp:
+        # Without search only the starting point, the trace-preserving
+        # projection of the candidate, is tried.
+        found = kernel_search(family, cfg if search else SearchConfig(0, max_iters=0, tol=tol))
+        status = (
+            "NO" if isinstance(found, Witness) else "INCONCLUSIVE" if found is None else "YES"
+        )
     else:
         status = "INCONCLUSIVE"
-        if search:
-            if cfg is None:
-                raise ValueError("kernel search requires an explicit SearchConfig")
-            family = kernel_family(known, target, tol)
-            found = kernel_search(family, cfg)
-            if found is not None:
-                status = "YES"
-                certificate = found
     return Verdict(
         status=status,
         mode=q.mode,
-        candidate=D0,
         candidate_choi_eigs=tuple(float(x) for x in eigs),
         unique=unique,
-        kernel_dim=int(kernel_dim),
-        residual=residual,
-        consistent=consistent,
-        certificate=certificate,
+        kernel_dim=family.kernel_dim,
+        residual=family.residual,
+        consistent=family.consistent,
+        certificate=found if isinstance(found, SuperOp) else None,
+        witness=found if isinstance(found, Witness) else None,
     )
 
 
 def verify_certificate(channel: Channel, mode: Mode, D: SuperOp, tol: Tolerance = DEFAULT_TOL):
     """Independent re-verification of a stored certificate.
 
-    Checks the composition residual against the freshly rebuilt system and the
-    positivity of the certificate's Choi matrix.  Returns (ok, report dict).
+    Checks the composition residual against the freshly rebuilt system and
+    that the certificate is CPTP: its Choi matrix is Hermitian (within
+    tp_tol) and PSD, and its output partial trace is the identity (within
+    tp_tol).  Returns (ok, report dict).
     """
     known, target = _build_system(Query(channel, mode))
     if D.matrix.shape != (known.d_out**2, target.d_out**2):
@@ -357,13 +356,19 @@ def verify_certificate(channel: Channel, mode: Mode, D: SuperOp, tol: Tolerance 
     resid = float(np.linalg.norm(known.matrix @ D.matrix - target.matrix))
     scale = max(1.0, float(np.linalg.norm(target.matrix)))
     R = superop_to_choi(D)
+    herm_dev = float(np.linalg.norm(R.matrix - R.matrix.conj().T))
     cp, min_eig = is_cp(R, tol)
-    ok = resid <= tol.residual_tol * scale and cp
+    cp = cp and herm_dev <= tol.tp_tol
+    tp, tp_dev = is_tp(R, tol)
+    ok = resid <= tol.residual_tol * scale and cp and tp
     report = {
         "residual": resid,
         "choi_min_eigenvalue": min_eig,
         "choi_trace": float(np.trace(R.matrix).real),
+        "hermiticity_deviation": herm_dev,
+        "tp_deviation": tp_dev,
         "cp": bool(cp),
+        "tp": bool(tp),
         "ok": bool(ok),
     }
     return ok, report
@@ -402,17 +407,16 @@ def ecd_screen(c: Channel, tol: Tolerance = DEFAULT_TOL) -> dict:
 
 
 def superop_to_pairs(M: SuperOp):
-    return [[[float(x.real), float(x.imag)] for x in row] for row in M.matrix]
+    return to_pairs(M.matrix)
 
 
 def superop_from_pairs(d_in, d_out, rows):
-    mat = np.array([[complex(re, im) for re, im in row] for row in rows])
-    return SuperOp(int(d_in), int(d_out), mat)
+    return SuperOp(int(d_in), int(d_out), from_pairs(rows))
 
 
 def verdict_to_dict(v: Verdict) -> dict:
     doc = {
-        "schema_version": VERDICT_SCHEMA_VERSION,
+        "schema_version": SCHEMA_VERSION,
         "status": v.status,
         "mode": v.mode.value,
         "unique": v.unique,
@@ -427,8 +431,6 @@ def verdict_to_dict(v: Verdict) -> dict:
             "d_out": v.certificate.d_out,
             "matrix": superop_to_pairs(v.certificate),
         }
+    if v.witness is not None:
+        doc["witness"] = {"margin": v.witness.margin, "choi": to_pairs(v.witness.choi)}
     return doc
-
-
-def verdict_to_json(v: Verdict) -> str:
-    return json.dumps(verdict_to_dict(v), sort_keys=True, indent=2)

@@ -35,6 +35,11 @@ class Tolerance:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")
 
+    @property
+    def tp_tol(self):
+        """Bound on ||Tr_B R - I|| and ||R - R^H|| for a certificate's Choi matrix."""
+        return 1e3 * self.residual_tol
+
 
 DEFAULT_TOL = Tolerance()
 
@@ -76,13 +81,23 @@ def numeric_rank(A, tol: Tolerance = DEFAULT_TOL):
 
 def pseudoinverse(A, tol: Tolerance = DEFAULT_TOL):
     """Moore-Penrose pseudoinverse via SVD with rank_tol truncation."""
+    return svd_pinv(A, tol)[0]
+
+
+def svd_pinv(A, tol: Tolerance = DEFAULT_TOL):
+    """(pseudoinverse, numeric rank, row space) of A from one thin SVD.
+
+    The row space is returned as ``rank`` orthonormal rows, so that
+    ``I - V^H V`` projects onto the null space of A.
+    """
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     U, s, Vh = np.linalg.svd(A, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
-        return A.conj().T
-    cutoff = tol.rank_tol * s[0]
-    s_inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-    return (Vh.conj().T * s_inv) @ U.conj().T
+        return A.conj().T, 0, Vh[:0]
+    keep = s > tol.rank_tol * s[0]
+    s_inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
+    rank = int(np.count_nonzero(keep))
+    return (Vh.conj().T * s_inv) @ U.conj().T, rank, Vh[:rank]
 
 
 def kernel_basis(A, tol: Tolerance = DEFAULT_TOL):
@@ -99,6 +114,11 @@ def kernel_basis(A, tol: Tolerance = DEFAULT_TOL):
     return [Vh[i].conj() for i in range(rank, A.shape[1])]
 
 
+def psd_floor(H, tol: Tolerance = DEFAULT_TOL) -> float:
+    """Smallest eigenvalue a PSD test accepts: -psd_tol * max(|trace|, 1)."""
+    return -tol.psd_tol * max(abs(float(np.trace(H).real)), 1.0)
+
+
 def hermitian_eigs(H, tol: Tolerance = DEFAULT_TOL, symmetrize=True):
     """Eigendecomposition of a Hermitian matrix.
 
@@ -112,5 +132,4 @@ def hermitian_eigs(H, tol: Tolerance = DEFAULT_TOL, symmetrize=True):
     dev = np.linalg.norm(H - H.conj().T)
     if not symmetrize and dev > tol.residual_tol:
         raise NotHermitian(f"Hermiticity deviation {dev:.3e} exceeds tolerance")
-    w, v = np.linalg.eigh((H + H.conj().T) / 2.0)
-    return w, v
+    return np.linalg.eigh((H + H.conj().T) / 2.0)

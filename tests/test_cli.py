@@ -138,6 +138,28 @@ def test_verify_fixture(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["ok"] is True and doc["residual"] < 1e-9
+    assert doc["tp"] is True and doc["tp_deviation"] < 1e-9
+
+
+@pytest.mark.parametrize(
+    "spec, mode",
+    [
+        ("td:d=2,t=-0.25", "antidegradable"),
+        ("td:d=3,t=-0.1", "antidegradable"),
+        ("td:d=4,t=-0.1", "antidegradable"),
+        ("td:d=3,t=-0.5", "degradable"),
+    ],
+)
+def test_decide_output_verifies(tmp_path, capsys, spec, mode):
+    verdict = tmp_path / "verdict.json"
+    code, _, _ = run_cli(
+        ["decide", "--channel", spec, "--mode", mode, "--output", str(verdict)], capsys
+    )
+    assert code == 0 and json.loads(verdict.read_text())["status"] == "YES"
+    code, out, err = run_cli(["verify", "--certificate", str(verdict)], capsys)
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["ok"] is True and report["tp"] is True
 
 
 def test_verify_corrupted_certificate(tmp_path, capsys):
