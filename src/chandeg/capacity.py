@@ -10,7 +10,6 @@ closed forms for the qubit (base-2) and qutrit (base-3) cases.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .channel import Channel, apply, complement
 from .linalg import DEFAULT_TOL, Tolerance
@@ -111,6 +110,17 @@ def td_complement_capacity(d: int, t: float) -> CapacityResult:
         else "NUMERICAL_EVIDENCE"
     )
     return CapacityResult(value=float(value), base=base, method="covariant-closed-form", status=status)
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on first use.
+
+    Importing scipy.optimize takes several times longer than the rest of the
+    package, and only ``one_shot_optimize`` needs it.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 def _state_from_params(x, d):

@@ -25,10 +25,11 @@ from functools import cached_property
 
 import numpy as np
 
-# The tracer in perfbench/ patches these names in this module, so they stay
-# importable here although the engine itself no longer calls them.
-from scipy.optimize import minimize  # noqa: F401
-
+# perfbench/tracer.py patches minimize, pseudoinverse and kernel_basis in this
+# module, so they stay importable here although the engine no longer calls
+# them.  minimize is capacity's lazy wrapper: importing this module does not
+# import scipy.
+from .capacity import minimize  # noqa: F401
 from .channel import (
     SCHEMA_VERSION,
     Channel,

@@ -50,22 +50,12 @@ def row_flatten(A):
     return A.reshape(-1)
 
 
-def col_flatten(A):
-    """Same components as row_flatten, regarded as a column vector."""
-    return row_flatten(A)
-
-
 def unflatten(v, rows, cols):
     """Inverse of row_flatten for given target shape."""
     v = np.asarray(v)
     if v.size != rows * cols:
         raise ValueError(f"cannot unflatten length-{v.size} vector to {rows}x{cols}")
     return v.reshape(rows, cols)
-
-
-def kron(A, B):
-    """Kronecker product (thin alias kept for a single conventions surface)."""
-    return np.kron(np.asarray(A), np.asarray(B))
 
 
 def numeric_rank(A, tol: Tolerance = DEFAULT_TOL):

@@ -28,7 +28,7 @@ from chandeg.degradability import (
     decide,
     verify_certificate,
 )
-from chandeg.linalg import col_flatten, kron, numeric_rank
+from chandeg.linalg import numeric_rank, row_flatten
 from chandeg.zoo import (
     DepolParams,
     TDParams,
@@ -140,7 +140,7 @@ def test_solution_uniqueness_kernel_dimensions(rng):
         M = c.superop.matrix
         if numeric_rank(M) != min(d_a * d_a, d_b * d_b):
             continue  # non-generic draw
-        K = kron(M, np.eye(d_tgt_sq))
+        K = np.kron(M, np.eye(d_tgt_sq))
         kernel_dim = K.shape[1] - numeric_rank(K)
         if d_b <= d_a:
             if narrow >= 200:
@@ -176,13 +176,13 @@ def test_representation_coherence(rng):
         B = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         C = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         npt.assert_allclose(
-            col_flatten((A @ B @ C).T), kron(C.T, A) @ col_flatten(B.T), atol=1e-9
+            row_flatten((A @ B @ C).T), np.kron(C.T, A) @ row_flatten(B.T), atol=1e-9
         )
         npt.assert_allclose(
-            np.trace(A.conj().T @ B), np.vdot(col_flatten(A), col_flatten(B)), atol=1e-9
+            np.trace(A.conj().T @ B), np.vdot(row_flatten(A), row_flatten(B)), atol=1e-9
         )
 
-        assert numeric_rank(kron(A, B)) == numeric_rank(A) * numeric_rank(B)
+        assert numeric_rank(np.kron(A, B)) == numeric_rank(A) * numeric_rank(B)
         assert numeric_rank(c.superop.matrix.T) == numeric_rank(c.superop.matrix)
         assert numeric_rank(A @ B) <= min(numeric_rank(A), numeric_rank(B))
 

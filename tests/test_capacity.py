@@ -1,3 +1,6 @@
+import importlib
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -14,6 +17,8 @@ from chandeg.channel import Channel, KrausSet
 from chandeg.zoo import OutOfCPRange, TDParams, td_channel, td_complement_qubit
 
 from conftest import random_channel, random_state
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_entropy_examples():
@@ -127,3 +132,35 @@ def test_one_shot_matches_covariant_in_degradable_region():
 def test_one_shot_rejects_large_input():
     with pytest.raises(ValueError):
         one_shot_optimize(Channel(KrausSet(5, 5, (np.eye(5),))), OptimizerConfig(seed=0))
+
+
+def test_one_shot_optimize_is_pinned():
+    """One seeded optimization, bit for bit: how scipy's minimize is loaded
+    must not move the value or the state."""
+    r = one_shot_optimize(td_complement_qubit(-0.55), OptimizerConfig(seed=0, restarts=1))
+    assert r.value == 0.45733110575246305
+    expected = np.array([
+        [0.5000000030577446 - 1.6626104900133509e-21j,
+         2.341830466308301e-09 + 3.3868205213323603e-10j],
+        [2.341830466308301e-09 - 3.3868205213322647e-10j,
+         0.49999999694225544 - 4.656994704695516e-22j],
+    ])
+    assert np.array_equal(r.input_state, expected)
+
+
+def test_tracer_patch_targets_resolve(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    for module_name, attr, _ in tracer.PATCHES:
+        assert callable(getattr(importlib.import_module(module_name), attr, None)), (module_name, attr)
+
+
+def test_traced_one_shot_counts_minimize_evaluations(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    t = importlib.import_module("tracer").Tracer()
+    t.install()
+    try:
+        one_shot_optimize(td_complement_qubit(-0.55), OptimizerConfig(seed=0, restarts=1))
+    finally:
+        t.uninstall()
+    assert t.calls["capacity.minimize"] == 1 and t.nfev["capacity.minimize"] > 0

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,8 @@ import pytest
 
 from chandeg.cli import build_parser, main, parse_channel
 
-FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "antidegrading_certificate_qubit_td.json"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURE = ROOT / "fixtures" / "antidegrading_certificate_qubit_td.json"
 
 
 def run_cli(argv, capsys):
@@ -209,3 +211,51 @@ def test_seeded_runs_are_byte_identical():
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert len(first.stdout) > 0
+
+
+# Every command with the exit code it must return; none of them needs scipy.
+NO_SCIPY_COMMANDS = [
+    (["decide", "--channel", "td:d=2,t=-1", "--mode", "degradable"], 0),
+    (["decide", "--channel", "td:d=2,t=0.2", "--mode", "degradable"], 1),
+    (["decide", "--channel", "td:d=2,t=-0.6666666666666666", "--mode", "antidegradable",
+      "--search", "--seed", "7"], 0),
+    (["sweep-eigs", "--d", "2", "--t-points", "3"], 0),
+    (["capacity", "--d", "2", "--t-points", "3"], 0),
+    (["screen", "--channel", "td:d=2,t=0.2"], 0),
+    (["verify", "--certificate", str(FIXTURE)], 0),
+]
+
+RUN_COMMANDS = """
+import contextlib, io, json, sys
+from chandeg.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps(codes))
+"""
+
+
+def scipy_modules_after(code, *args):
+    """Run ``code`` in a fresh interpreter; return (its stdout, the scipy
+    modules it left in sys.modules)."""
+    report = "\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code + report, *args], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    *out, modules = proc.stdout.strip().split("\n")
+    return out, modules
+
+
+def test_cli_commands_do_not_import_scipy():
+    argv = json.dumps([a for a, _ in NO_SCIPY_COMMANDS])
+    out, modules = scipy_modules_after(RUN_COMMANDS, argv)
+    assert json.loads(out[0]) == [code for _, code in NO_SCIPY_COMMANDS]
+    assert modules == "[]"
+
+
+def test_degradability_import_does_not_import_scipy():
+    assert scipy_modules_after("import chandeg.degradability") == ([], "[]")
