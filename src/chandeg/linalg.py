@@ -119,7 +119,8 @@ def hermitian_eigs(H, tol: Tolerance = DEFAULT_TOL, symmetrize=True):
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
-    dev = np.linalg.norm(H - H.conj().T)
-    if not symmetrize and dev > tol.residual_tol:
-        raise NotHermitian(f"Hermiticity deviation {dev:.3e} exceeds tolerance")
+    if not symmetrize:
+        dev = np.linalg.norm(H - H.conj().T)
+        if dev > tol.residual_tol:
+            raise NotHermitian(f"Hermiticity deviation {dev:.3e} exceeds tolerance")
     return np.linalg.eigh((H + H.conj().T) / 2.0)

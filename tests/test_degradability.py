@@ -5,7 +5,14 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chandeg.channel import SuperOp, complement, is_cp, superop_to_choi
+from chandeg.channel import (
+    ChoiMatrix,
+    SuperOp,
+    choi_to_superop,
+    complement,
+    is_cp,
+    superop_to_choi,
+)
 from chandeg.degradability import (
     InconsistentSystem,
     Mode,
@@ -180,7 +187,9 @@ def _qubit(family, p):
     return depolarizing(DepolParams(2, p))
 
 
-@pytest.mark.parametrize("family, p", [("td", -0.8), ("td", -0.7), ("depol", 0.7)])
+@pytest.mark.parametrize(
+    "family, p", [("td", -0.8), ("td", -0.7), ("depol", 0.7), ("td", -0.67), ("depol", 0.67)]
+)
 def test_search_past_the_edge_is_no_with_witness(family, p):
     chan = _qubit(family, p)
     v = decide(Query(chan, Mode.ANTIDEGRADABLE), SearchConfig(seed=0), search=True)
@@ -200,11 +209,68 @@ def test_search_yes_exactly_at_the_edge(family, p):
 
 
 def test_search_opens_ququart():
+    # 72 iterations; plain alternating projections need 151.
     chan = td_channel(TDParams(4, -0.3))
-    v = decide(Query(chan, Mode.ANTIDEGRADABLE), SearchConfig(seed=0), search=True)
+    cfg = SearchConfig(seed=0, max_iters=100)
+    v = decide(Query(chan, Mode.ANTIDEGRADABLE), cfg, search=True)
     assert v.status == "YES"
     ok, report = verify_certificate(chan, Mode.ANTIDEGRADABLE, v.certificate)
     assert ok and report["tp"], report
+
+
+@pytest.mark.parametrize("family, p", [("td", -0.67), ("depol", 0.67)])
+def test_search_near_the_edge_is_no_within_20_iterations(family, p):
+    # The first iterate is no witness here; the search finds one at iteration
+    # 15, where plain alternating projections need 31.
+    chan = _qubit(family, p)
+    cfg = SearchConfig(seed=0, max_iters=20)
+    v = decide(Query(chan, Mode.ANTIDEGRADABLE), cfg, search=True)
+    assert v.status == "NO"
+    check_witness(chan, Mode.ANTIDEGRADABLE, v.witness)
+
+
+def test_search_qutrit_within_iteration_budget():
+    # 89 iterations; plain alternating projections need 187.
+    chan = td_channel(TDParams(3, -0.45))
+    cfg = SearchConfig(seed=0, max_iters=120)
+    v = decide(Query(chan, Mode.ANTIDEGRADABLE), cfg, search=True)
+    assert v.status == "YES"
+    ok, report = verify_certificate(chan, Mode.ANTIDEGRADABLE, v.certificate)
+    assert ok and report["tp"], report
+
+
+@pytest.mark.parametrize(
+    "seed, d_out, d_env, mode",
+    [
+        (12, 2, 3, Mode.ANTIDEGRADABLE),
+        (10, 2, 3, Mode.CONJ_ANTIDEGRADABLE),
+        (1, 3, 2, Mode.CONJ_DEGRADABLE),
+    ],
+)
+def test_search_step_cap_keeps_random_channel_nos(seed, d_out, d_env, mode):
+    # With a cap of 4 on the extrapolated step, each of these ends INCONCLUSIVE.
+    chan = random_channel(np.random.default_rng(seed), 2, d_out, d_env)
+    v = decide(Query(chan, mode), SearchConfig(seed=0), search=True)
+    assert v.status == "NO"
+    check_witness(chan, mode, v.witness)
+
+
+def test_project_directions_is_an_orthogonal_projection_within_the_solutions(rng):
+    chan = td_channel(TDParams(3, -0.4))
+    comp = complement(chan)
+    fam = kernel_family(comp.superop, chan.superop)
+    n = 27
+    X, Y = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(2))
+    X, Y = X + X.conj().T, Y + Y.conj().T
+    L = fam.project_directions(X)
+    npt.assert_array_equal(L, L.conj().T)
+    npt.assert_allclose(fam.project_directions(L), L, atol=1e-12)
+    assert abs(np.vdot(X - L, fam.project_directions(Y))) < 1e-10
+    # a trace-preserving solution minus L(X) is one too
+    R = superop_to_choi(SuperOp(9, 3, fam.project(fam.base.matrix))).matrix - L
+    D = choi_to_superop(ChoiMatrix(9, 3, R)).matrix
+    assert np.linalg.norm(comp.superop.matrix @ D - chan.superop.matrix) < 1e-10
+    npt.assert_allclose(np.einsum("klml->km", R.reshape(9, 3, 9, 3)), np.eye(9), atol=1e-12)
 
 
 def test_search_gives_up_after_max_iters():
