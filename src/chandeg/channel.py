@@ -193,6 +193,15 @@ def apply(M: SuperOp, rho) -> np.ndarray:
     return (row_flatten(r) @ M.matrix).reshape(M.d_out, M.d_out)
 
 
+def apply_adjoint(M: SuperOp, X) -> np.ndarray:
+    """Apply the adjoint channel, defined by Tr[X M(rho)] = Tr[M^dag(X) rho]:
+    M^dag(X) = unflatten(M @ row(X^T))^T."""
+    X = np.asarray(X, dtype=complex)
+    if X.shape != (M.d_out, M.d_out):
+        raise DimensionMismatch(f"operator shape {X.shape} != ({M.d_out}, {M.d_out})")
+    return (M.matrix @ row_flatten(X.T)).reshape(M.d_in, M.d_in).T
+
+
 def apply_choi(R: ChoiMatrix, rho) -> np.ndarray:
     """Apply a channel via its Choi matrix: Tr_A[(rho^T (x) I_B) R]."""
     r = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)

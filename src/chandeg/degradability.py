@@ -29,8 +29,7 @@ import numpy as np
 
 # perfbench/tracer.py patches minimize, pseudoinverse and kernel_basis in this
 # module, so they stay importable here although the engine no longer calls
-# them.  minimize is capacity's lazy wrapper: importing this module does not
-# import scipy.
+# them.  minimize is capacity's numpy-only matrix-exponentiated-gradient loop.
 from .capacity import minimize  # noqa: F401
 from .channel import (
     SCHEMA_VERSION,

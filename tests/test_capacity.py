@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from chandeg import capacity
 from chandeg.capacity import (
     OptimizerConfig,
     coherent_information,
@@ -13,7 +14,7 @@ from chandeg.capacity import (
     td_complement_capacity,
     von_neumann_entropy,
 )
-from chandeg.channel import Channel, KrausSet
+from chandeg.channel import Channel, KrausSet, apply, apply_adjoint, complement
 from chandeg.zoo import OutOfCPRange, TDParams, td_channel, td_complement_qubit
 
 from conftest import random_channel, random_state
@@ -135,17 +136,112 @@ def test_one_shot_rejects_large_input():
 
 
 def test_one_shot_optimize_is_pinned():
-    """One seeded optimization, bit for bit: how scipy's minimize is loaded
-    must not move the value or the state."""
-    r = one_shot_optimize(td_complement_qubit(-0.55), OptimizerConfig(seed=0, restarts=1))
-    assert r.value == 0.45733110575246305
-    expected = np.array([
-        [0.5000000030577446 - 1.6626104900133509e-21j,
-         2.341830466308301e-09 + 3.3868205213323603e-10j],
-        [2.341830466308301e-09 - 3.3868205213322647e-10j,
-         0.49999999694225544 - 4.656994704695516e-22j],
-    ])
-    assert np.array_equal(r.input_state, expected)
+    """Inside the degradable region the Frank-Wolfe gap at I/2 is already
+    below tolerance: one gradient evaluation, and the covariant value bit
+    for bit."""
+    c = td_complement_qubit(-0.55)
+    r = one_shot_optimize(c, OptimizerConfig(seed=0, restarts=1))
+    assert r.value == covariant_capacity(c).value
+    assert np.array_equal(r.input_state, np.eye(2) / 2)
+
+
+# (d_in, d_out, Kraus operators) of the random channels the gradient is checked on
+GRADIENT_SHAPES = [(2, 3, 3), (3, 2, 3)]
+
+
+def hermitian(rng, d):
+    X = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return (X + X.conj().T) / 2
+
+
+@pytest.mark.parametrize("shape", GRADIENT_SHAPES)
+def test_adjoint_identity(rng, shape):
+    c = random_channel(rng, *shape)
+    for M in (c.superop, complement(c).superop):
+        for _ in range(3):
+            rho, X = random_state(rng, M.d_in), hermitian(rng, M.d_out)
+            lhs = np.trace(X @ apply(M, rho))
+            rhs = np.trace(apply_adjoint(M, X) @ rho)
+            assert abs(lhs - rhs) <= 1e-12
+
+
+@pytest.mark.parametrize("base", [2.0, 3.0])
+@pytest.mark.parametrize("shape", GRADIENT_SHAPES)
+def test_gradient_matches_central_difference(rng, shape, base):
+    c = random_channel(rng, *shape)
+    comp, d, eps = complement(c), shape[0], 1e-5
+    for _ in range(3):
+        rho = random_state(rng, d)
+        H = hermitian(rng, d)
+        H -= np.trace(H) / d * np.eye(d)  # stay on unit trace
+        value, G = capacity._coherent_information_gradient(c, comp, rho, base)
+        assert value == pytest.approx(coherent_information(c, rho, base), abs=1e-12)
+        fd = (
+            coherent_information(c, rho + eps * H, base)
+            - coherent_information(c, rho - eps * H, base)
+        ) / (2 * eps)
+        analytic = np.trace(G @ H).real
+        assert abs(fd - analytic) <= 1e-6 * abs(analytic)
+
+
+@pytest.mark.parametrize("base", [2.0, 3.0])
+@pytest.mark.parametrize("shape", GRADIENT_SHAPES)
+def test_ascent_never_ends_below_its_start(rng, shape, base):
+    c = random_channel(rng, *shape)
+    comp, d = complement(c), shape[0]
+
+    def neg_ic(rho):
+        value, grad = capacity._coherent_information_gradient(c, comp, rho, base)
+        return -value, -grad
+
+    for max_iters in (1, 3, 200):
+        x0 = random_state(rng, d)
+        res = capacity.minimize(neg_ic, x0, max_iters)
+        assert res.nit <= max_iters and res.nfev == res.nit + 1
+        assert -res.fun >= coherent_information(c, x0, base)
+        assert -res.fun == pytest.approx(coherent_information(c, res.x, base), abs=1e-12)
+
+
+@pytest.mark.parametrize("t", [-0.4, 0.15])
+def test_one_shot_qutrit_td_complement_is_the_closed_form(t):
+    c = complement(td_channel(TDParams(3, t)))
+    r = one_shot_optimize(c, OptimizerConfig(seed=0, restarts=1), base=3.0)
+    assert abs(r.value - td_complement_capacity(3, t).value) <= 1e-9
+
+
+def test_one_shot_restarts_escape_a_non_concave_mixed_input():
+    """At t = -0.8 the qubit TD complement is not degradable, and I/2 is a
+    stationary point that is not the maximum: one start stays there, the
+    default restarts reach the value Nelder-Mead found."""
+    c = td_complement_qubit(-0.8)
+    one_start = one_shot_optimize(c, OptimizerConfig(seed=7, restarts=1))
+    assert one_start.value == covariant_capacity(c).value
+    assert one_shot_optimize(c, OptimizerConfig(seed=7)).value >= 0.002793880946 - 1e-9
+
+
+# Haar-random 3 -> 2 channels (random_channel(default_rng(seed), 3, 2, 2))
+# whose optimum lies away from I/3 and from pure states, with the value
+# Nelder-Mead reached from OptimizerConfig(seed=0, restarts=4).
+NELDER_MEAD_3_TO_2 = [(16, 0.7537336907047971), (10, 0.32838218242291384)]
+
+
+@pytest.mark.parametrize("seed, nelder_mead", NELDER_MEAD_3_TO_2)
+def test_one_shot_random_channel_reaches_nelder_mead(monkeypatch, seed, nelder_mead):
+    steps, ascend = [], capacity.minimize
+
+    def counted(*args):
+        res = ascend(*args)
+        steps.append(res.nit)
+        return res
+
+    monkeypatch.setattr(capacity, "minimize", counted)
+    c = random_channel(np.random.default_rng(seed), 3, 2, 2)
+    r = one_shot_optimize(c, OptimizerConfig(seed=0, restarts=4))
+    assert r.value >= nelder_mead - 1e-8
+    assert r.value == coherent_information(c, r.input_state)
+    # The optimum has rank 2; the eigenvalue floor lets every start settle
+    # well before its cap of 200 * 3**2 steps.
+    assert len(steps) == 4 and max(steps) < 600
 
 
 def test_tracer_patch_targets_resolve(monkeypatch):

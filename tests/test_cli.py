@@ -259,3 +259,18 @@ def test_cli_commands_do_not_import_scipy():
 
 def test_degradability_import_does_not_import_scipy():
     assert scipy_modules_after("import chandeg.degradability") == ([], "[]")
+
+
+ONE_SHOT_ON_A_RANDOM_QUBIT_CHANNEL = """
+import numpy as np
+from chandeg.capacity import OptimizerConfig, one_shot_optimize
+from chandeg.channel import Channel, KrausSet
+g = np.random.default_rng(0).normal(size=(2, 6, 2))
+q, _ = np.linalg.qr(g[0] + 1j * g[1])
+c = Channel(KrausSet(2, 2, tuple(q.reshape(3, 2, 2))))
+print(one_shot_optimize(c, OptimizerConfig(seed=0, restarts=2)).method)
+"""
+
+
+def test_one_shot_optimize_does_not_import_scipy():
+    assert scipy_modules_after(ONE_SHOT_ON_A_RANDOM_QUBIT_CHANNEL) == (["optimized"], "[]")
