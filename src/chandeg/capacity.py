@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Channel, SuperOp, apply, apply_adjoint, complement
-from .linalg import DEFAULT_TOL, Tolerance
-from .zoo import OutOfCPRange, known_antidegradable_range
+from .linalg import DEFAULT_TOL, Tolerance, psd_floor
+from .zoo import in_range, known_antidegradable_range, require_in_range, td_cp_range
 
 
 @dataclass(frozen=True)
@@ -40,20 +40,17 @@ class OptimizerConfig:
     max_iters: int = 200
 
 
-def _entropy_cut(m, tol: Tolerance) -> float:
-    return tol.psd_tol * max(abs(float(np.trace(m).real)), 1.0)
-
-
 def von_neumann_entropy(rho, base: float = 2.0, tol: Tolerance = DEFAULT_TOL) -> float:
     """H(rho) = -sum lambda_i log_base lambda_i, with 0 log 0 = 0.
 
-    Eigenvalues below psd_tol * trace are clipped to zero (no renormalization).
+    Eigenvalues at or below ``-psd_floor`` are clipped to zero (no
+    renormalization).
     """
     if base <= 1.0:
         raise ValueError(f"entropy base must exceed 1, got {base}")
     m = rho.matrix if hasattr(rho, "matrix") else np.asarray(rho, dtype=complex)
     w = np.linalg.eigvalsh((m + m.conj().T) / 2)
-    w = w[w > _entropy_cut(m, tol)]
+    w = w[w > -psd_floor(m, tol)]
     return float(-np.sum(w * np.log(w)) / np.log(base))
 
 
@@ -97,29 +94,21 @@ def td_complement_capacity(d: int, t: float) -> CapacityResult:
     d=3 (base 3): -2((1+2t)/3)log3((1+2t)/9) - ((1-4t)/3)log3((1-4t)/9) - 1,
     numerical-evidence status on [-1/2, 1/4].
     """
-    if d == 2:
-        if not -1.0 - 1e-12 <= t <= 1.0 / 3.0 + 1e-12:
-            raise OutOfCPRange(f"t={t} outside the CP range [-1, 1/3]")
-        base = 2.0
-        probs = [((1.0 + t) / 4.0, 3), ((1.0 - 3.0 * t) / 4.0, 1)]
-    elif d == 3:
-        if not -0.5 - 1e-12 <= t <= 0.25 + 1e-12:
-            raise OutOfCPRange(f"t={t} outside the CP range [-1/2, 1/4]")
-        base = 3.0
-        probs = [((1.0 + 2.0 * t) / 9.0, 6), ((1.0 - 4.0 * t) / 9.0, 3)]
-    else:
+    if d not in (2, 3):
         raise ValueError(f"closed forms available for d in {{2, 3}}, got {d}")
+    require_in_range("t", t, *td_cp_range(d), d)
+    base = float(d)
+    if d == 2:
+        probs = [((1.0 + t) / 4.0, 3), ((1.0 - 3.0 * t) / 4.0, 1)]
+    else:
+        probs = [((1.0 + 2.0 * t) / 9.0, 6), ((1.0 - 4.0 * t) / 9.0, 3)]
     value = 0.0
     for p, mult in probs:
         if p > 0:
             value -= mult * p * np.log(p) / np.log(base)
     value -= 1.0
     lo, hi, range_status = known_antidegradable_range(d)
-    status = (
-        "PROVEN"
-        if range_status == "proven" and lo - 1e-12 <= t <= hi + 1e-12
-        else "NUMERICAL_EVIDENCE"
-    )
+    status = "PROVEN" if range_status == "proven" and in_range(t, lo, hi) else "NUMERICAL_EVIDENCE"
     return CapacityResult(value=float(value), base=base, method="covariant-closed-form", status=status)
 
 
@@ -197,12 +186,12 @@ def _state_from_params(x, d):
 def _entropy_and_adjoint_log(S: SuperOp, rho, tol: Tolerance = DEFAULT_TOL):
     """H(S(rho)) in nats and S^dag(log S(rho)), from one eigendecomposition.
 
-    Eigenvalues at or below the cut of ``von_neumann_entropy`` are left out of
-    the entropy and floored at the cut in the log.
+    Eigenvalues at or below the cut ``-psd_floor`` of ``von_neumann_entropy``
+    are left out of the entropy and floored at the cut in the log.
     """
     out = apply(S, rho)
     w, v = np.linalg.eigh((out + out.conj().T) / 2)
-    cut = _entropy_cut(out, tol)
+    cut = -psd_floor(out, tol)
     log_w = np.log(np.maximum(w, cut))
     kept = w > cut
     adjoint_log = apply_adjoint(S, (v * log_w) @ v.conj().T)

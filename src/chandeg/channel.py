@@ -62,9 +62,8 @@ class DensityMatrix:
             raise ValueError("state contains non-finite entries")
         if np.linalg.norm(m - m.conj().T) > self.tol.residual_tol:
             raise ValueError("state is not Hermitian within tolerance")
-        tr = float(np.trace(m).real)
         w = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        if w[0] < -self.tol.psd_tol * max(abs(tr), 1.0):
+        if w[0] < psd_floor(m, self.tol):
             raise ValueError(f"state has negative eigenvalue {w[0]:.3e}")
         if self.normalized and abs(np.trace(m) - 1.0) > self.tol.residual_tol:
             raise ValueError(f"state trace {np.trace(m):.6g} != 1")
@@ -153,13 +152,13 @@ def choi_to_kraus(R: ChoiMatrix, tol: Tolerance = DEFAULT_TOL) -> KrausSet:
     fixed (first non-negligible component real positive) so the representative
     is reproducible.  Raises NotCP on a significantly negative eigenvalue.
     """
-    w, v = hermitian_eigs(R.matrix, tol)
-    tr = max(abs(float(np.trace(R.matrix).real)), 1.0)
-    if w[0] < -tol.psd_tol * tr:
+    w, v = hermitian_eigs(R.matrix)
+    floor = psd_floor(R.matrix, tol)
+    if w[0] < floor:
         raise NotCP(f"Choi matrix has negative eigenvalue {w[0]:.3e}")
     ops = []
     for lam, vec in zip(w[::-1], v.T[::-1]):
-        if lam <= tol.psd_tol * tr:
+        if lam <= -floor:
             continue
         idx = np.argmax(np.abs(vec) > 1e-8)
         phase = vec[idx] / abs(vec[idx])
@@ -186,7 +185,7 @@ def superop_to_choi(M: SuperOp) -> ChoiMatrix:
 
 
 def apply(M: SuperOp, rho) -> np.ndarray:
-    """Apply a channel in superoperator form: unflatten(row(rho) @ M)."""
+    """Apply a channel in superoperator form: row(rho) @ M, reshaped to d_out x d_out."""
     r = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     if r.shape != (M.d_in, M.d_in):
         raise DimensionMismatch(f"state shape {r.shape} != ({M.d_in}, {M.d_in})")
@@ -195,7 +194,7 @@ def apply(M: SuperOp, rho) -> np.ndarray:
 
 def apply_adjoint(M: SuperOp, X) -> np.ndarray:
     """Apply the adjoint channel, defined by Tr[X M(rho)] = Tr[M^dag(X) rho]:
-    M^dag(X) = unflatten(M @ row(X^T))^T."""
+    M^dag(X) is M @ row(X^T), reshaped to d_in x d_in and transposed."""
     X = np.asarray(X, dtype=complex)
     if X.shape != (M.d_out, M.d_out):
         raise DimensionMismatch(f"operator shape {X.shape} != ({M.d_out}, {M.d_out})")
@@ -221,8 +220,8 @@ def compose(M: SuperOp, N: SuperOp) -> SuperOp:
 
 
 def is_cp(R: ChoiMatrix, tol: Tolerance = DEFAULT_TOL):
-    """(CP?, minimal eigenvalue) -- CP iff lambda_min >= -psd_tol * trace."""
-    w, _ = hermitian_eigs(R.matrix, tol)
+    """(CP?, minimal eigenvalue) -- CP iff lambda_min >= psd_floor(R.matrix)."""
+    w, _ = hermitian_eigs(R.matrix)
     return bool(w[0] >= psd_floor(R.matrix, tol)), float(w[0])
 
 

@@ -15,7 +15,15 @@ import numpy as np
 
 from . import capacity as cap
 from . import zoo
-from .channel import SCHEMA_VERSION, Channel, channel_from_dict, complement
+from .channel import (
+    SCHEMA_VERSION,
+    Channel,
+    SuperOp,
+    channel_from_dict,
+    complement,
+    from_pairs,
+    superop_to_choi,
+)
 from .degradability import (
     Mode,
     Query,
@@ -23,11 +31,9 @@ from .degradability import (
     candidate_map,
     decide,
     ecd_screen,
-    superop_from_pairs,
     verdict_to_dict,
     verify_certificate,
 )
-from .channel import superop_to_choi
 from .linalg import DEFAULT_TOL, Tolerance, hermitian_eigs
 
 EXIT_YES = 0
@@ -149,20 +155,19 @@ def _grid(args, default_start, default_stop, default_points):
 def cmd_sweep_eigs(args) -> int:
     tol = _tolerance_from_env(args)
     d = args.d
-    lo, hi = -1.0 / (d - 1), 1.0 / (d + 1)
+    lo, hi = zoo.td_cp_range(d)
     grid = _grid(args, lo + 1e-3, hi, 100)
-    if grid[0] < lo - 1e-12 or grid[-1] > hi + 1e-12:
-        raise CliError(f"grid outside the CP range [{lo:.6g}, {hi:.6g}] for d={d}")
     rows = []
     header = None
-    for t in grid:
-        chan = zoo.td_channel(zoo.TDParams(d, float(t)))
+    # TDParams checks every grid point against the CP range before any work.
+    for params in [zoo.TDParams(d, float(t)) for t in grid]:
+        chan = zoo.td_channel(params)
         comp = complement(chan)
         cand, _, _ = candidate_map(comp.superop, chan.superop, tol)
-        w, _ = hermitian_eigs(superop_to_choi(cand).matrix, tol)
+        w, _ = hermitian_eigs(superop_to_choi(cand).matrix)
         if header is None:
             header = "t," + ",".join(f"lambda_{i+1}" for i in range(len(w)))
-        rows.append(",".join([_fmt(float(t))] + [_fmt(float(x)) for x in w]))
+        rows.append(",".join([_fmt(params.t)] + [_fmt(float(x)) for x in w]))
     _emit(header + "\n" + "\n".join(rows) + "\n", args.output)
     return EXIT_YES
 
@@ -171,11 +176,11 @@ def cmd_capacity(args) -> int:
     d = args.d
     lo, hi, _ = zoo.known_antidegradable_range(d)
     grid = _grid(args, lo, hi, 100)
-    cloner_hi = 1.0 / 3.0 if d == 2 else 0.25
     rows = ["t,Q,base,method,status,cloner"]
     for t in grid:
         res = cap.td_complement_capacity(d, float(t))
-        cloner = 1 if 0.0 <= t <= cloner_hi + 1e-12 else 0
+        # The cloners cover t in [0, 1/(d+1)], the top of the TD CP range.
+        cloner = 1 if 0.0 <= t and zoo.in_range(t, *zoo.td_cp_range(d)) else 0
         rows.append(
             ",".join(
                 [
@@ -211,7 +216,7 @@ def cmd_verify(args) -> int:
         mode = Mode(doc["mode"])
         # A decide verdict nests its certificate; a stored certificate is flat.
         body = doc["certificate"] if "certificate" in doc else doc
-        cert = superop_from_pairs(body["d_in"], body["d_out"], body["matrix"])
+        cert = SuperOp(int(body["d_in"]), int(body["d_out"]), from_pairs(body["matrix"]))
     except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise CliError(f"unreadable certificate: {exc}") from exc
     ok, report = verify_certificate(chan, mode, cert, tol)

@@ -39,7 +39,6 @@ from .channel import (
     choi_rank,
     choi_to_superop,
     complement,
-    from_pairs,
     is_cp,
     is_ppt,
     is_tp,
@@ -79,6 +78,10 @@ class SearchConfig:
     restarts: int = 32
     max_iters: int = 2000
     tol: Tolerance = DEFAULT_TOL
+
+    def __post_init__(self):
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
 
 
 @dataclass(frozen=True)
@@ -192,6 +195,12 @@ def swap_superop(d: int) -> SuperOp:
     return SuperOp(d, d, C)
 
 
+def _residual(known, D, target, tol: Tolerance):
+    """(||known @ D - target||, whether it is at most residual_tol * max(1, ||target||))."""
+    residual = float(np.linalg.norm(known @ D - target))
+    return residual, residual <= tol.residual_tol * max(1.0, float(np.linalg.norm(target)))
+
+
 def _solutions(known: SuperOp, target: SuperOp, tol: Tolerance) -> KernelFamily:
     """The least-squares family of known @ D = target, from one SVD of known;
     consistent when the least-squares residual vanishes."""
@@ -201,13 +210,12 @@ def _solutions(known: SuperOp, target: SuperOp, tol: Tolerance) -> KernelFamily:
         )
     pinv, _, rowspace = svd_pinv(known.matrix, tol)
     D = pinv @ target.matrix
-    residual = float(np.linalg.norm(known.matrix @ D - target.matrix))
-    scale = max(1.0, float(np.linalg.norm(target.matrix)))
+    residual, consistent = _residual(known.matrix, D, target.matrix, tol)
     return KernelFamily(
         base=SuperOp(known.d_out, target.d_out, D),
         rowspace=rowspace,
         residual=residual,
-        consistent=residual <= tol.residual_tol * scale,
+        consistent=consistent,
     )
 
 
@@ -284,7 +292,7 @@ def kernel_search(family: KernelFamily, cfg: SearchConfig):
     # Every point of A has the trace of a TP map, so one floor serves all.
     floor = psd_floor(R, tol)
     for iteration in range(cfg.max_iters + 1):
-        w, v = hermitian_eigs(R, tol)
+        w, v = hermitian_eigs(R)
         if w[0] >= floor:
             return choi_to_superop(ChoiMatrix(d_mid, d_tgt, R))
         if iteration == cfg.max_iters:
@@ -359,7 +367,7 @@ def decide(q: Query, cfg: SearchConfig | None = None, search: bool = False) -> V
     family = _solutions(known, target, tol)
     unique = uniqueness(known.d_in, known.d_out, family.rowspace.shape[0])
     R0 = superop_to_choi(family.base).matrix
-    eigs, _ = hermitian_eigs(R0, tol)
+    eigs, _ = hermitian_eigs(R0)
     cand_cp = bool(eigs[0] >= psd_floor(R0, tol))
 
     found = None
@@ -396,19 +404,22 @@ def verify_certificate(channel: Channel, mode: Mode, D: SuperOp, tol: Tolerance 
     Checks the composition residual against the freshly rebuilt system and
     that the certificate is CPTP: its Choi matrix is Hermitian (within
     tp_tol) and PSD, and its output partial trace is the identity (within
-    tp_tol).  Returns (ok, report dict).
+    tp_tol).  Returns (ok, report dict); the report is only an error message
+    when the certificate's dimensions do not fit the query or it has a NaN or
+    infinite entry.
     """
     known, target = _build_system(Query(channel, mode))
     if D.matrix.shape != (known.d_out**2, target.d_out**2):
         return False, {"error": "certificate dimensions do not match the query"}
-    resid = float(np.linalg.norm(known.matrix @ D.matrix - target.matrix))
-    scale = max(1.0, float(np.linalg.norm(target.matrix)))
+    if not np.all(np.isfinite(D.matrix)):
+        return False, {"error": "certificate has non-finite entries"}
+    resid, solves = _residual(known.matrix, D.matrix, target.matrix, tol)
     R = superop_to_choi(D)
     herm_dev = float(np.linalg.norm(R.matrix - R.matrix.conj().T))
     cp, min_eig = is_cp(R, tol)
     cp = cp and herm_dev <= tol.tp_tol
     tp, tp_dev = is_tp(R, tol)
-    ok = resid <= tol.residual_tol * scale and cp and tp
+    ok = solves and cp and tp
     report = {
         "residual": resid,
         "choi_min_eigenvalue": min_eig,
@@ -454,14 +465,6 @@ def ecd_screen(c: Channel, tol: Tolerance = DEFAULT_TOL) -> dict:
     }
 
 
-def superop_to_pairs(M: SuperOp):
-    return to_pairs(M.matrix)
-
-
-def superop_from_pairs(d_in, d_out, rows):
-    return SuperOp(int(d_in), int(d_out), from_pairs(rows))
-
-
 def verdict_to_dict(v: Verdict) -> dict:
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -477,7 +480,7 @@ def verdict_to_dict(v: Verdict) -> dict:
         doc["certificate"] = {
             "d_in": v.certificate.d_in,
             "d_out": v.certificate.d_out,
-            "matrix": superop_to_pairs(v.certificate),
+            "matrix": to_pairs(v.certificate.matrix),
         }
     if v.witness is not None:
         doc["witness"] = {"margin": v.witness.margin, "choi": to_pairs(v.witness.choi)}

@@ -10,10 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class NotHermitian(ValueError):
-    """Raised when a matrix expected to be Hermitian is not."""
-
-
 @dataclass(frozen=True)
 class Tolerance:
     """Numeric thresholds used throughout.
@@ -48,14 +44,6 @@ def row_flatten(A):
     """Flatten a matrix row by row into a 1-d vector."""
     A = np.asarray(A)
     return A.reshape(-1)
-
-
-def unflatten(v, rows, cols):
-    """Inverse of row_flatten for given target shape."""
-    v = np.asarray(v)
-    if v.size != rows * cols:
-        raise ValueError(f"cannot unflatten length-{v.size} vector to {rows}x{cols}")
-    return v.reshape(rows, cols)
 
 
 def numeric_rank(A, tol: Tolerance = DEFAULT_TOL):
@@ -105,22 +93,20 @@ def kernel_basis(A, tol: Tolerance = DEFAULT_TOL):
 
 
 def psd_floor(H, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Smallest eigenvalue a PSD test accepts: -psd_tol * max(|trace|, 1)."""
+    """Smallest eigenvalue a PSD test accepts: -psd_tol * max(|trace|, 1).
+
+    The one PSD rule of the package: every positivity test compares against
+    it, and ``-psd_floor`` is the cut below which an eigenvalue counts as zero.
+    """
     return -tol.psd_tol * max(abs(float(np.trace(H).real)), 1.0)
 
 
-def hermitian_eigs(H, tol: Tolerance = DEFAULT_TOL, symmetrize=True):
-    """Eigendecomposition of a Hermitian matrix.
+def hermitian_eigs(H):
+    """Eigendecomposition of the Hermitian part (H + H^dag)/2 of a square matrix.
 
-    Returns (eigenvalues ascending, eigenvectors as columns).  The input is
-    symmetrized as (H + H†)/2 before solving; with ``symmetrize=False`` a
-    Hermiticity violation beyond residual_tol raises NotHermitian instead.
+    Returns (eigenvalues ascending, eigenvectors as columns).
     """
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
-    if not symmetrize:
-        dev = np.linalg.norm(H - H.conj().T)
-        if dev > tol.residual_tol:
-            raise NotHermitian(f"Hermiticity deviation {dev:.3e} exceeds tolerance")
     return np.linalg.eigh((H + H.conj().T) / 2.0)

@@ -23,6 +23,28 @@ class Unsupported(ValueError):
     """Requested dimension is not covered by the library."""
 
 
+# Absolute slack of every parameter-range test, so that a range end computed
+# in floating point, such as t = 1/(d+1), is inside its range.
+RANGE_SLACK = 1e-12
+
+
+def td_cp_range(d: int):
+    """(lo, hi) = (-1/(d-1), 1/(d+1)): the t for which the transpose-
+    depolarizing channel is completely positive."""
+    return -1.0 / (d - 1), 1.0 / (d + 1)
+
+
+def in_range(x: float, lo: float, hi: float) -> bool:
+    """lo <= x <= hi, with RANGE_SLACK at both ends."""
+    return lo - RANGE_SLACK <= x <= hi + RANGE_SLACK
+
+
+def require_in_range(name: str, x: float, lo: float, hi: float, d: int):
+    """Raise OutOfCPRange unless x lies in the CP range [lo, hi] (see in_range)."""
+    if not in_range(x, lo, hi):
+        raise OutOfCPRange(f"{name}={x} outside CP range [{lo:.6g}, {hi:.6g}] for d={d}")
+
+
 @dataclass(frozen=True)
 class TDParams:
     """Transpose-depolarizing parameters: rho -> t*rho^T + (1-t)*I/d."""
@@ -33,11 +55,7 @@ class TDParams:
     def __post_init__(self):
         if self.d < 2:
             raise ValueError(f"dimension must be >= 2, got {self.d}")
-        lo, hi = -1.0 / (self.d - 1), 1.0 / (self.d + 1)
-        if not lo - 1e-12 <= self.t <= hi + 1e-12:
-            raise OutOfCPRange(
-                f"t={self.t} outside CP range [{lo:.6g}, {hi:.6g}] for d={self.d}"
-            )
+        require_in_range("t", self.t, *td_cp_range(self.d), self.d)
 
 
 @dataclass(frozen=True)
@@ -50,11 +68,7 @@ class DepolParams:
     def __post_init__(self):
         if self.d < 2:
             raise ValueError(f"dimension must be >= 2, got {self.d}")
-        lo = -1.0 / (self.d**2 - 1)
-        if not lo - 1e-12 <= self.s <= 1.0 + 1e-12:
-            raise OutOfCPRange(
-                f"s={self.s} outside CP range [{lo:.6g}, 1] for d={self.d}"
-            )
+        require_in_range("s", self.s, -1.0 / (self.d**2 - 1), 1.0, self.d)
 
 
 @dataclass(frozen=True)
@@ -167,8 +181,7 @@ def qubit_td_complement_apply(rho, t):
 
 def td_complement_qubit(t: float) -> Channel:
     """The qubit transpose-depolarizing complement as a channel C^2 -> C^4."""
-    if not -1.0 - 1e-12 <= t <= 1.0 / 3.0 + 1e-12:
-        raise OutOfCPRange(f"t={t} outside [-1, 1/3]")
+    require_in_range("t", t, *td_cp_range(2), 2)
     M = np.zeros((4, 16), dtype=complex)
     for k in range(2):
         for mu in range(2):
@@ -214,7 +227,7 @@ def known_antidegradable_range(d: int) -> AntidegradableRange:
     if d == 2:
         return AntidegradableRange(-2.0 / 3.0, 1.0 / 3.0, "proven")
     if d == 3:
-        return AntidegradableRange(-0.5, 0.25, "numerical")
+        return AntidegradableRange(*td_cp_range(3), "numerical")
     raise Unsupported(f"no antidegradable range recorded for d={d}")
 
 

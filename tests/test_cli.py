@@ -64,6 +64,15 @@ def test_decide_search_requires_seed(capsys):
     assert "error:" in err
 
 
+def test_decide_rejects_negative_max_iters(capsys):
+    argv = ["decide", "--channel", "td:d=3,t=-0.1", "--mode", "antidegradable",
+            "--search", "--seed", "1"]
+    code, out, err = run_cli(argv + ["--max-iters", "-1"], capsys)
+    assert code == 3 and out == "" and "max_iters" in err
+    code, out, _ = run_cli(argv + ["--max-iters", "0"], capsys)
+    assert code == 0 and json.loads(out)["status"] == "YES"
+
+
 def test_decide_bad_channel(capsys):
     code, _, err = run_cli(
         ["decide", "--channel", "td:d=2,t=0.9", "--mode", "degradable"], capsys
@@ -172,6 +181,16 @@ def test_verify_corrupted_certificate(tmp_path, capsys):
     code, out, _ = run_cli(["verify", "--certificate", str(bad)], capsys)
     assert code == 1
     assert json.loads(out)["ok"] is False
+
+
+def test_verify_non_finite_certificate(tmp_path, capsys):
+    doc = json.loads(FIXTURE.read_text())
+    doc["matrix"][0][0][0] = float("nan")
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(["verify", "--certificate", str(bad)], capsys)
+    assert code == 1 and err == ""
+    assert json.loads(out)["error"] == "certificate has non-finite entries"
 
 
 def test_verify_unreadable_certificate(tmp_path, capsys):

@@ -10,8 +10,10 @@ from chandeg.channel import (
     SuperOp,
     choi_to_superop,
     complement,
+    from_pairs,
     is_cp,
     superop_to_choi,
+    to_pairs,
 )
 from chandeg.degradability import (
     InconsistentSystem,
@@ -25,8 +27,6 @@ from chandeg.degradability import (
     ecd_screen,
     kernel_family,
     kernel_search,
-    superop_from_pairs,
-    superop_to_pairs,
     swap_superop,
     uniqueness,
     verdict_to_dict,
@@ -279,6 +279,13 @@ def test_search_gives_up_after_max_iters():
     assert v.status == "INCONCLUSIVE" and v.certificate is None and v.witness is None
 
 
+def test_search_config_rejects_negative_max_iters():
+    # With max_iters = -1 the search would not even test its start point.
+    with pytest.raises(ValueError, match="max_iters"):
+        SearchConfig(seed=0, max_iters=-1)
+    assert SearchConfig(seed=0, max_iters=0).max_iters == 0
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -389,6 +396,15 @@ def test_verify_certificate_rejects_wrong_shape():
     assert not ok and "error" in report
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_verify_certificate_rejects_non_finite_entries(bad):
+    cert = antidegrading_certificate_matrix().astype(complex)
+    cert[0, 0] = bad
+    chan = td_channel(TDParams(2, -2 / 3))
+    ok, report = verify_certificate(chan, Mode.ANTIDEGRADABLE, SuperOp(4, 2, cert))
+    assert not ok and report == {"error": "certificate has non-finite entries"}
+
+
 def test_ecd_screen_rules_out_small_cases(rng):
     out = ecd_screen(td_channel(TDParams(2, 0.2)))
     assert out["hopeless"]
@@ -404,6 +420,6 @@ def test_verdict_serialization_round_trip():
     assert doc["status"] == "YES"
     blob = json.loads(json.dumps(doc))
     cert = blob["certificate"]
-    D = superop_from_pairs(cert["d_in"], cert["d_out"], cert["matrix"])
+    D = SuperOp(cert["d_in"], cert["d_out"], from_pairs(cert["matrix"]))
     npt.assert_allclose(D.matrix, v.certificate.matrix, atol=1e-15)
-    npt.assert_allclose(superop_from_pairs(4, 2, superop_to_pairs(D)).matrix, D.matrix)
+    npt.assert_allclose(from_pairs(to_pairs(D.matrix)), D.matrix)
