@@ -16,7 +16,6 @@ from .zoo import (
     ClonerParams,
     DepolParams,
     TDParams,
-    cloner_params,
     depolarizing,
     known_antidegradable_range,
     td_channel,
@@ -38,7 +37,6 @@ __all__ = [
     "ClonerParams",
     "DepolParams",
     "TDParams",
-    "cloner_params",
     "depolarizing",
     "known_antidegradable_range",
     "td_channel",

@@ -37,7 +37,10 @@ class CapacityResult:
 class OptimizerConfig:
     seed: int
     restarts: int = 16
-    max_iters: int = 200
+
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
 
 
 def von_neumann_entropy(rho, base: float = 2.0, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -118,6 +121,7 @@ _STEP_GROWTH = 1.25  # eta grows by this factor after each accepted step
 _GAP_TOL = 1e-10  # converged once the Frank-Wolfe gap is this small
 _GAIN_TOL = 1e-14  # converged once a step moves the value by less than this
 _EIG_FLOOR = 1e-15  # smallest eigenvalue an iterate keeps
+_ITERS_PER_DIM2 = 200  # one_shot_optimize's ascents stop after this many steps times d**2
 
 
 @dataclass(frozen=True)
@@ -221,7 +225,7 @@ def one_shot_optimize(c: Channel, cfg: OptimizerConfig, base: float = 2.0) -> Ca
 
     The first start is the maximally mixed state I/d, the other
     ``cfg.restarts - 1`` are seeded random full-rank states, and each ascent
-    runs at most ``cfg.max_iters * d**2`` steps.  The result is never below
+    runs at most ``200 * d**2`` steps.  The result is never below
     the value at I/d, and it is the coherent information of the returned
     state.  It is the global maximum where the coherent information is
     concave in the input, which holds for degradable channels (Devetak &
@@ -246,12 +250,9 @@ def one_shot_optimize(c: Channel, cfg: OptimizerConfig, base: float = 2.0) -> Ca
 
     best_val, best_state = -np.inf, np.eye(d) / d
     for x0 in starts:
-        res = minimize(neg_ic, x0, cfg.max_iters * d * d)
+        res = minimize(neg_ic, x0, _ITERS_PER_DIM2 * d * d)
         if -res.fun > best_val:
             best_val, best_state = -res.fun, res.x
-    mixed = _coherent_information(c, comp, np.eye(d) / d, base)
-    if mixed > best_val:
-        best_state = np.eye(d) / d
     return CapacityResult(
         value=float(_coherent_information(c, comp, best_state, base)),
         base=base,

@@ -46,8 +46,7 @@ class NotTP(ValueError):
 class DensityMatrix:
     """A state: Hermitian, PSD, unit-trace matrix.
 
-    ``normalized=False`` relaxes the unit-trace requirement (used for the
-    unnormalized maximally entangled state backing the Choi construction).
+    ``normalized=False`` relaxes the unit-trace requirement.
     """
 
     matrix: np.ndarray
@@ -233,22 +232,16 @@ def is_tp(R: ChoiMatrix, tol: Tolerance = DEFAULT_TOL):
     return dev <= tol.tp_tol, dev
 
 
-def partial_transpose(R: ChoiMatrix, subsystem="A") -> np.ndarray:
-    """Transpose on one tensor factor of the Choi matrix."""
+def partial_transpose(R: ChoiMatrix) -> np.ndarray:
+    """Transpose on the input factor A of the Choi matrix."""
     R4 = R.matrix.reshape(R.d_in, R.d_out, R.d_in, R.d_out)
-    if subsystem == "A":
-        out = R4.transpose(2, 1, 0, 3)
-    elif subsystem == "B":
-        out = R4.transpose(0, 3, 2, 1)
-    else:
-        raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
     n = R.d_in * R.d_out
-    return out.reshape(n, n)
+    return R4.transpose(2, 1, 0, 3).reshape(n, n)
 
 
 def is_ppt(R: ChoiMatrix, tol: Tolerance = DEFAULT_TOL):
     """True when the partial transpose of the Choi matrix is PSD."""
-    pt = partial_transpose(R, "A")
+    pt = partial_transpose(R)
     w = np.linalg.eigvalsh((pt + pt.conj().T) / 2)
     return bool(w[0] >= psd_floor(R.matrix, tol))
 
@@ -279,7 +272,7 @@ class Channel:
         return apply(self.superop, rho)
 
 
-def complement(c, label=None) -> Channel:
+def complement(c) -> Channel:
     """Complementary channel: the map to the environment of the dilation.
 
     For Kraus operators K_e the complement has entries
@@ -292,9 +285,7 @@ def complement(c, label=None) -> Channel:
         raise NotTP("complement requires a trace-preserving Kraus set")
     stack = np.array(k.operators)  # (d_E, d_out, d_in)
     ops = tuple(stack[:, j, :].copy() for j in range(k.d_out))
-    name = label if label is not None else (
-        f"complement({c.label})" if isinstance(c, Channel) and c.label else "complement"
-    )
+    name = f"complement({c.label})" if isinstance(c, Channel) and c.label else "complement"
     return Channel(KrausSet(k.d_in, stack.shape[0], ops), label=name)
 
 

@@ -8,7 +8,6 @@ error.  All seeded commands are deterministic: identical arguments (including
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -46,15 +45,8 @@ class CliError(ValueError):
     pass
 
 
-def _tolerance_from_env(args) -> Tolerance:
-    """Each tolerance from its flag, else CHANDEG_<NAME>, else the default."""
-    values = {}
-    for name in ("rank_tol", "psd_tol", "residual_tol"):
-        values[name] = getattr(args, name)
-        if values[name] is None:
-            raw = os.environ.get(f"CHANDEG_{name.upper()}")
-            values[name] = float(raw) if raw else getattr(DEFAULT_TOL, name)
-    return Tolerance(**values)
+def _tolerance(args) -> Tolerance:
+    return Tolerance(args.rank_tol, args.psd_tol, args.residual_tol)
 
 
 def _parse_kv(body, keys):
@@ -94,7 +86,7 @@ def parse_channel(spec: str) -> Channel:
             return zoo.td_complement_qubit(float(kv["t"]))
         if kind == "cloner":
             kv = _parse_kv(body, {"p"})
-            params = zoo.cloner_params(float(kv["p"]))
+            params = zoo.ClonerParams(float(kv["p"]))
             return zoo.td_complement_qubit(params.t)
         if kind == "file":
             with open(body) as fh:
@@ -123,7 +115,7 @@ def _json(doc) -> str:
 
 
 def cmd_decide(args) -> int:
-    tol = _tolerance_from_env(args)
+    tol = _tolerance(args)
     chan = parse_channel(args.channel)
     mode = Mode(args.mode)
     if args.search and args.seed is None:
@@ -153,7 +145,7 @@ def _grid(args, default_start, default_stop, default_points):
 
 
 def cmd_sweep_eigs(args) -> int:
-    tol = _tolerance_from_env(args)
+    tol = _tolerance(args)
     d = args.d
     lo, hi = zoo.td_cp_range(d)
     grid = _grid(args, lo + 1e-3, hi, 100)
@@ -198,7 +190,7 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_screen(args) -> int:
-    tol = _tolerance_from_env(args)
+    tol = _tolerance(args)
     chan = parse_channel(args.channel)
     report = ecd_screen(chan, tol)
     report["schema_version"] = SCHEMA_VERSION
@@ -208,15 +200,19 @@ def cmd_screen(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    tol = _tolerance_from_env(args)
+    tol = _tolerance(args)
     try:
         with open(args.certificate) as fh:
             doc = json.load(fh)
         chan = parse_channel(doc["channel"])
         mode = Mode(doc["mode"])
         # A decide verdict nests its certificate; a stored certificate is flat.
+        if "status" in doc and "certificate" not in doc:
+            raise CliError(f"verdict {doc['status']} carries no certificate")
         body = doc["certificate"] if "certificate" in doc else doc
         cert = SuperOp(int(body["d_in"]), int(body["d_out"]), from_pairs(body["matrix"]))
+    except CliError:
+        raise
     except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise CliError(f"unreadable certificate: {exc}") from exc
     ok, report = verify_certificate(chan, mode, cert, tol)
@@ -236,9 +232,9 @@ def build_parser():
 
     def common(p):
         p.add_argument("--output", default=None, help="write to file instead of stdout")
-        p.add_argument("--rank-tol", type=float, default=None)
-        p.add_argument("--psd-tol", type=float, default=None)
-        p.add_argument("--residual-tol", type=float, default=None)
+        p.add_argument("--rank-tol", type=float, default=DEFAULT_TOL.rank_tol)
+        p.add_argument("--psd-tol", type=float, default=DEFAULT_TOL.psd_tol)
+        p.add_argument("--residual-tol", type=float, default=DEFAULT_TOL.residual_tol)
 
     p = sub.add_parser("decide", help="decide one degradability mode")
     p.add_argument("--channel", required=True)

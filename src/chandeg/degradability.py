@@ -225,16 +225,6 @@ def candidate_map(known: SuperOp, target: SuperOp, tol: Tolerance = DEFAULT_TOL)
     return family.base, family.consistent, family.residual
 
 
-def uniqueness(d_a: int, d_b: int, rank_known: int) -> bool:
-    """Whether the solution of known @ D = target is unique.
-
-    d_a, d_b are the input/output dimensions of the known map.  Unique iff the
-    known superoperator has full rank min(d_a^2, d_b^2) and d_b <= d_a; a
-    rank-deficient known map always leaves a nontrivial solution family.
-    """
-    return rank_known == min(d_a**2, d_b**2) and d_b <= d_a
-
-
 def kernel_family(known: SuperOp, target: SuperOp, tol: Tolerance = DEFAULT_TOL) -> KernelFamily:
     """All solutions of known @ D = target as base + null-space directions
     (the kernel of known (x) I is {k_i (x) e_j}: it is kept as known's row
@@ -249,11 +239,6 @@ def kernel_family(known: SuperOp, target: SuperOp, tol: Tolerance = DEFAULT_TOL)
 
 class InconsistentSystem(ValueError):
     """The composition equation has no solution at all."""
-
-
-def _hermitian_choi(D, d_mid, d_tgt):
-    R = superop_to_choi(SuperOp(d_mid, d_tgt, D)).matrix
-    return (R + R.conj().T) / 2
 
 
 # kernel_search moves at most twice as far as the plain step.  Larger caps, or
@@ -288,7 +273,8 @@ def kernel_search(family: KernelFamily, cfg: SearchConfig):
     """
     tol = cfg.tol
     d_mid, d_tgt = family.base.d_in, family.base.d_out
-    R = _hermitian_choi(family.project(family.base.matrix), d_mid, d_tgt)
+    R = superop_to_choi(SuperOp(d_mid, d_tgt, family.project(family.base.matrix))).matrix
+    R = (R + R.conj().T) / 2
     # Every point of A has the trace of a TP map, so one floor serves all.
     floor = psd_floor(R, tol)
     for iteration in range(cfg.max_iters + 1):
@@ -325,28 +311,16 @@ def kernel_search(family: KernelFamily, cfg: SearchConfig):
 
 def _build_system(q: Query):
     """(known, target) superoperators for a query mode."""
-    chan = q.channel
-    comp = complement(chan)
-    if q.mode == Mode.DEGRADABLE:
-        known, target = chan.superop, comp.superop
-    elif q.mode == Mode.ANTIDEGRADABLE:
-        known, target = comp.superop, chan.superop
-    elif q.mode == Mode.CONJ_DEGRADABLE:
-        known = chan.superop
-        target = SuperOp(
-            comp.superop.d_in,
-            comp.superop.d_out,
-            comp.superop.matrix @ swap_superop(comp.superop.d_out).matrix,
-        )
-    elif q.mode == Mode.CONJ_ANTIDEGRADABLE:
-        known = comp.superop
-        target = SuperOp(
-            chan.superop.d_in,
-            chan.superop.d_out,
-            chan.superop.matrix @ swap_superop(chan.superop.d_out).matrix,
-        )
+    chan, comp = q.channel.superop, complement(q.channel).superop
+    if q.mode in (Mode.DEGRADABLE, Mode.CONJ_DEGRADABLE):
+        known, target = chan, comp
+    elif q.mode in (Mode.ANTIDEGRADABLE, Mode.CONJ_ANTIDEGRADABLE):
+        known, target = comp, chan
     else:
         raise ValueError(f"unknown mode {q.mode!r}")
+    if q.mode in (Mode.CONJ_DEGRADABLE, Mode.CONJ_ANTIDEGRADABLE):
+        swap = swap_superop(target.d_out).matrix
+        target = SuperOp(target.d_in, target.d_out, target.matrix @ swap)
     return known, target
 
 
@@ -365,7 +339,7 @@ def decide(q: Query, cfg: SearchConfig | None = None, search: bool = False) -> V
     tol = cfg.tol if cfg is not None else DEFAULT_TOL
     known, target = _build_system(q)
     family = _solutions(known, target, tol)
-    unique = uniqueness(known.d_in, known.d_out, family.rowspace.shape[0])
+    unique = family.kernel_dim == 0
     R0 = superop_to_choi(family.base).matrix
     eigs, _ = hermitian_eigs(R0)
     cand_cp = bool(eigs[0] >= psd_floor(R0, tol))

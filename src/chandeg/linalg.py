@@ -14,12 +14,15 @@ import numpy as np
 class Tolerance:
     """Numeric thresholds used throughout.
 
+    Each is relative and must be finite and strictly between 0 and 1.
+
     rank_tol
         Singular-value cutoff, relative to the largest singular value.
     psd_tol
         Eigenvalue floor for positivity checks, relative to the trace.
     residual_tol
-        Frobenius-norm bound for composition/identity residuals.
+        Frobenius-norm bound for composition/identity residuals, relative to
+        max(1, norm of the target).
     """
 
     rank_tol: float = 1e-10
@@ -28,8 +31,8 @@ class Tolerance:
 
     def __post_init__(self):
         for name in ("rank_tol", "psd_tol", "residual_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0 < getattr(self, name) < 1:
+                raise ValueError(f"{name} must be finite and strictly between 0 and 1")
 
     @property
     def tp_tol(self):
@@ -46,15 +49,17 @@ def row_flatten(A):
     return A.reshape(-1)
 
 
-def numeric_rank(A, tol: Tolerance = DEFAULT_TOL):
-    """Number of singular values above rank_tol relative to the largest one."""
-    A = np.atleast_2d(np.asarray(A))
-    if A.size == 0:
-        return 0
-    s = np.linalg.svd(A, compute_uv=False)
+def _rank(s, tol: Tolerance) -> int:
+    """Number of singular values s (descending) above rank_tol relative to s[0]."""
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > tol.rank_tol * s[0]))
+
+
+def numeric_rank(A, tol: Tolerance = DEFAULT_TOL):
+    """Number of singular values above rank_tol relative to the largest one."""
+    A = np.atleast_2d(np.asarray(A))
+    return _rank(np.linalg.svd(A, compute_uv=False), tol)
 
 
 def pseudoinverse(A, tol: Tolerance = DEFAULT_TOL):
@@ -70,11 +75,9 @@ def svd_pinv(A, tol: Tolerance = DEFAULT_TOL):
     """
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     U, s, Vh = np.linalg.svd(A, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return A.conj().T, 0, Vh[:0]
-    keep = s > tol.rank_tol * s[0]
-    s_inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
-    rank = int(np.count_nonzero(keep))
+    rank = _rank(s, tol)
+    s_inv = np.zeros_like(s)
+    s_inv[:rank] = 1.0 / s[:rank]
     return (Vh.conj().T * s_inv) @ U.conj().T, rank, Vh[:rank]
 
 
@@ -85,11 +88,7 @@ def kernel_basis(A, tol: Tolerance = DEFAULT_TOL):
     """
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     _, s, Vh = np.linalg.svd(A)
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(s > tol.rank_tol * s[0]))
-    return [Vh[i].conj() for i in range(rank, A.shape[1])]
+    return [Vh[i].conj() for i in range(_rank(s, tol), A.shape[1])]
 
 
 def psd_floor(H, tol: Tolerance = DEFAULT_TOL) -> float:

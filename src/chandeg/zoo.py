@@ -94,10 +94,6 @@ class ClonerParams:
         object.__setattr__(self, "t", p * (1.0 - p) / (1.0 - p + p * p))
 
 
-def cloner_params(p: float) -> ClonerParams:
-    return ClonerParams(p)
-
-
 def _td_kraus(d, t):
     """Fixed Kraus representative of the transpose-depolarizing channel.
 

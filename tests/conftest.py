@@ -11,15 +11,19 @@ def random_state(rng, d):
     return G / np.trace(G)
 
 
+def haar_isometry(rng, rows, cols):
+    """Haar-distributed isometry (rows >= cols); a unitary when rows == cols."""
+    G = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+    Q, R = np.linalg.qr(G)
+    # fix the gauge so Q is Haar distributed
+    return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
 def random_channel(rng, d_in, d_out, d_env):
     """Random channel from a Haar-distributed Stinespring isometry."""
     if d_out * d_env < d_in:
         raise ValueError("need d_out * d_env >= d_in for an isometry")
-    G = rng.normal(size=(d_out * d_env, d_in)) + 1j * rng.normal(size=(d_out * d_env, d_in))
-    Q, R = np.linalg.qr(G)
-    # fix the gauge so Q is Haar distributed
-    Q = Q * (np.diag(R) / np.abs(np.diag(R)))
-    blocks = Q.reshape(d_env, d_out, d_in)
+    blocks = haar_isometry(rng, d_out * d_env, d_in).reshape(d_env, d_out, d_in)
     return Channel(KrausSet(d_in, d_out, tuple(blocks[e] for e in range(d_env))))
 
 

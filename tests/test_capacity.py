@@ -107,7 +107,7 @@ def test_capacity_sign_change_bracket():
 
 
 def test_one_shot_at_least_mixed_input():
-    cfg = OptimizerConfig(seed=5, restarts=4, max_iters=120)
+    cfg = OptimizerConfig(seed=5, restarts=4)
     for t in (-0.5, 0.0, 0.25):
         c = td_complement_qubit(t)
         assert one_shot_optimize(c, cfg).value >= covariant_capacity(c).value - 1e-12
@@ -122,7 +122,7 @@ def test_one_shot_identity():
 
 def test_one_shot_matches_covariant_in_degradable_region():
     # inside [-2/3, 1/3] the maximally mixed input is optimal
-    cfg = OptimizerConfig(seed=9, restarts=6, max_iters=300)
+    cfg = OptimizerConfig(seed=9, restarts=6)
     for t in (-0.6, 0.2):
         c = td_complement_qubit(t)
         npt.assert_allclose(
@@ -133,6 +133,12 @@ def test_one_shot_matches_covariant_in_degradable_region():
 def test_one_shot_rejects_large_input():
     with pytest.raises(ValueError):
         one_shot_optimize(Channel(KrausSet(5, 5, (np.eye(5),))), OptimizerConfig(seed=0))
+
+
+@pytest.mark.parametrize("restarts", [0, -3])
+def test_optimizer_config_rejects_fewer_than_one_start(restarts):
+    with pytest.raises(ValueError, match="restarts"):
+        OptimizerConfig(seed=0, restarts=restarts)
 
 
 def test_one_shot_optimize_is_pinned():

@@ -212,7 +212,7 @@ def test_ppt():
     assert is_ppt(ChoiMatrix(2, 2, np.eye(4) / 2))
     phi = kraus_to_choi(KrausSet(2, 2, (np.eye(2),)))
     assert not is_ppt(phi)
-    pt = partial_transpose(phi, "A")
+    pt = partial_transpose(phi)
     assert np.isclose(np.linalg.eigvalsh(pt)[0], -1.0)
     assert np.linalg.matrix_rank(pt) == 4
 

@@ -200,6 +200,32 @@ def test_verify_unreadable_certificate(tmp_path, capsys):
     assert code == 3 and "error:" in err
 
 
+def test_verify_of_a_verdict_without_certificate(tmp_path, capsys):
+    verdict = tmp_path / "no.json"
+    code, _, _ = run_cli(
+        ["decide", "--channel", "td:d=2,t=-0.7", "--mode", "antidegradable",
+         "--search", "--seed", "1", "--output", str(verdict)],
+        capsys,
+    )
+    assert code == 1
+    code, out, err = run_cli(["verify", "--certificate", str(verdict)], capsys)
+    assert code == 3 and out == ""
+    assert err == "error: verdict NO carries no certificate\n"
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--psd-tol", "inf"), ("--psd-tol", "1e300"), ("--rank-tol", "1"), ("--residual-tol", "nan")],
+)
+def test_out_of_range_tolerance_is_an_input_error(flag, value, capsys):
+    # At t = -0.9 the qubit TD channel is not antidegradable (below -2/3).
+    decide = ["decide", "--channel", "td:d=2,t=-0.9", "--mode", "antidegradable"]
+    for argv in (decide, ["verify", "--certificate", str(FIXTURE)]):
+        code, out, err = run_cli(argv + [flag, value], capsys)
+        assert code == 3 and out == ""
+        assert flag[2:].replace("-", "_") in err
+
+
 def test_output_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "verdict.json"
     code, out, _ = run_cli(

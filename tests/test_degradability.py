@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chandeg.channel import (
+    Channel,
     ChoiMatrix,
+    KrausSet,
     SuperOp,
     choi_to_superop,
     complement,
@@ -28,7 +30,6 @@ from chandeg.degradability import (
     kernel_family,
     kernel_search,
     swap_superop,
-    uniqueness,
     verdict_to_dict,
     verify_certificate,
 )
@@ -42,7 +43,7 @@ from chandeg.zoo import (
     td_channel,
 )
 
-from conftest import random_channel, random_state
+from conftest import haar_isometry, random_channel, random_state
 
 
 def check_witness(channel, mode, witness):
@@ -120,11 +121,15 @@ def test_degrading_candidate_negative_outside_unitary_case():
     assert not cp and min_eig < -1e-6
 
 
-def test_uniqueness_predicate():
-    assert uniqueness(2, 2, 4)
-    assert not uniqueness(2, 2, 3)
-    assert not uniqueness(2, 4, 4)  # output exceeds input: wide system
-    assert uniqueness(3, 2, 4)
+def test_uniqueness_predicate(rng):
+    """The solution is unique, i.e. the kernel is trivial, iff known has full
+    rank min(d_a^2, d_b^2) and d_b <= d_a."""
+    cases = [(2, 2, 4, True), (2, 2, 3, False), (2, 4, 4, False), (3, 2, 4, True)]
+    for d_a, d_b, rank, unique in cases:
+        M = rng.normal(size=(d_a**2, rank)) @ rng.normal(size=(rank, d_b**2))
+        assert numeric_rank(M) == rank
+        target = SuperOp(d_a, 2, M @ rng.normal(size=(d_b**2, 4)))
+        assert (kernel_family(SuperOp(d_a, d_b, M), target).kernel_dim == 0) == unique
 
 
 def test_kernel_family_qubit_antidegradable():
@@ -423,3 +428,64 @@ def test_verdict_serialization_round_trip():
     D = SuperOp(cert["d_in"], cert["d_out"], from_pairs(cert["matrix"]))
     npt.assert_allclose(D.matrix, v.certificate.matrix, atol=1e-15)
     npt.assert_allclose(from_pairs(to_pairs(D.matrix)), D.matrix)
+
+
+# The oracle and invariant tests below skip INCONCLUSIVE verdicts: only a
+# settled status carries evidence.
+ORACLE_CFG = SearchConfig(seed=0, max_iters=500)
+
+
+def _qubit_antidegradable_margin(chan):
+    """Tr rho_B^2 - Tr rho^2 + 4 sqrt(det rho) for the normalized Choi state
+    rho of a qubit-to-qubit channel, B the output: the channel is
+    antidegradable iff this is >= 0 (Myhr et al., PRA 79, 042329 (2009);
+    Chen et al., PRA 90, 032318 (2014))."""
+    rho = chan.choi.matrix / chan.d_in
+    rho_b = np.einsum("klkn->ln", rho.reshape(2, 2, 2, 2))
+    det = max(float(np.linalg.det(rho).real), 0.0)
+    return float(np.trace(rho_b @ rho_b).real - np.trace(rho @ rho).real) + 4 * np.sqrt(det)
+
+
+def test_qubit_margin_vanishes_at_the_proven_edge():
+    assert abs(_qubit_antidegradable_margin(td_channel(TDParams(2, -2 / 3)))) < 1e-12
+    assert _qubit_antidegradable_margin(td_channel(TDParams(2, -0.7))) < -0.04
+    assert _qubit_antidegradable_margin(depolarizing(DepolParams(2, 0.7))) < -0.04
+
+
+def test_qubit_antidegradable_matches_the_closed_form():
+    settled = []
+    for seed in range(5000, 5040):
+        chan = random_channel(np.random.default_rng(seed), 2, 2, 1 + seed % 4)
+        v = decide(Query(chan, Mode.ANTIDEGRADABLE), ORACLE_CFG, search=True)
+        if v.status != "INCONCLUSIVE":
+            settled.append(v.status)
+            assert (v.status == "YES") == (_qubit_antidegradable_margin(chan) >= 0), seed
+    assert settled.count("YES") >= 5 and settled.count("NO") >= 5
+
+
+def test_degradable_iff_complement_antidegradable():
+    for seed in range(7000, 7020):
+        chan = random_channel(np.random.default_rng(seed), 2, 2 + seed % 2, 2 + seed // 2 % 2)
+        a = decide(Query(chan, Mode.DEGRADABLE), ORACLE_CFG, search=True).status
+        b = decide(Query(complement(chan), Mode.ANTIDEGRADABLE), ORACLE_CFG, search=True)
+        assert "INCONCLUSIVE" in (a, b.status) or a == b.status, seed
+
+
+def test_kraus_remixing_keeps_every_settled_status():
+    """Kraus operators U-mixed by a Haar unitary describe the same channel
+    with a complement that differs by a unitary on the environment."""
+    compared = 0
+    for seed in range(6000, 6020):
+        rng = np.random.default_rng(seed)
+        chan = random_channel(rng, 2, 2 + seed % 2, 2 + seed // 2 % 2)
+        ops = np.array(chan.kraus.operators)
+        U = haar_isometry(rng, len(ops), len(ops))
+        remixed = Channel(KrausSet(2, chan.d_out, tuple(np.tensordot(U, ops, axes=1))))
+        for mode in Mode:
+            a = decide(Query(chan, mode), ORACLE_CFG, search=True).status
+            b = decide(Query(remixed, mode), ORACLE_CFG, search=True).status
+            if "INCONCLUSIVE" not in (a, b):
+                compared += 1
+                assert a == b, (seed, mode)
+    assert compared >= 40
+

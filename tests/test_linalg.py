@@ -138,5 +138,8 @@ def test_hermitian_eigs_symmetrizes_its_input():
 
 
 def test_tolerance_validation():
-    with pytest.raises(ValueError):
-        Tolerance(rank_tol=0.0)
+    # Every tolerance is relative, so 1 or more accepts anything.
+    for name in ("rank_tol", "psd_tol", "residual_tol"):
+        for bad in (0.0, -1e-9, 1.0, 1e300, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match=name):
+                Tolerance(**{name: bad})

@@ -12,7 +12,6 @@ from chandeg.zoo import (
     antidegrading_candidate_matrix,
     antidegrading_certificate_matrix,
     candidate_choi_eigenvalues,
-    cloner_params,
     depolarizing,
     known_antidegradable_range,
     mixed_symmetry_map,
@@ -152,11 +151,11 @@ def test_mixed_symmetry_reproduces_complement_spectrum(rng):
 
 
 def test_cloner_params():
-    assert np.isclose(cloner_params(0.5).t, 1 / 3)
-    assert np.isclose(cloner_params(0.0).t, 0.0)
-    assert np.isclose(cloner_params(1.0).t, 0.0)
-    assert np.isclose(cloner_params(1 / 3).t, 2 / 7)
-    p = cloner_params(0.3)
+    assert np.isclose(ClonerParams(0.5).t, 1 / 3)
+    assert np.isclose(ClonerParams(0.0).t, 0.0)
+    assert np.isclose(ClonerParams(1.0).t, 0.0)
+    assert np.isclose(ClonerParams(1 / 3).t, 2 / 7)
+    p = ClonerParams(0.3)
     assert np.isclose(2 * p.alpha * p.beta, p.t)
     # the amplitude normalization puts (alpha, beta) at half the ellipse value
     assert np.isclose(p.alpha**2 + p.alpha * p.beta + p.beta**2, 0.5)
