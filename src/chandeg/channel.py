@@ -44,13 +44,9 @@ class NotTP(ValueError):
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A state: Hermitian, PSD, unit-trace matrix.
-
-    ``normalized=False`` relaxes the unit-trace requirement.
-    """
+    """A state: Hermitian, PSD, unit-trace matrix."""
 
     matrix: np.ndarray
-    normalized: bool = True
     tol: Tolerance = field(default=DEFAULT_TOL, repr=False)
 
     def __post_init__(self):
@@ -64,7 +60,7 @@ class DensityMatrix:
         w = np.linalg.eigvalsh((m + m.conj().T) / 2)
         if w[0] < psd_floor(m, self.tol):
             raise ValueError(f"state has negative eigenvalue {w[0]:.3e}")
-        if self.normalized and abs(np.trace(m) - 1.0) > self.tol.residual_tol:
+        if abs(np.trace(m) - 1.0) > self.tol.residual_tol:
             raise ValueError(f"state trace {np.trace(m):.6g} != 1")
         object.__setattr__(self, "matrix", m)
 

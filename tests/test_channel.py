@@ -221,7 +221,9 @@ def test_density_matrix_validation(rng):
     DensityMatrix(np.eye(2) / 2)
     with pytest.raises(ValueError):
         DensityMatrix(np.eye(2))  # trace 2
-    DensityMatrix(np.eye(2), normalized=False)
+    DensityMatrix(np.diag([1.0, 0.0]))  # pure, on the PSD boundary
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        DensityMatrix(np.diag([1.5, -0.5]))  # unit trace
     with pytest.raises(ValueError):
         DensityMatrix(np.array([[1.0, 1.0], [0.0, 0.0]]))  # not Hermitian
 

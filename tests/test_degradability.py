@@ -206,17 +206,19 @@ def test_search_past_the_edge_is_no_with_witness(family, p):
 
 @pytest.mark.parametrize("family, p", [("td", -2 / 3), ("depol", 2 / 3)])
 def test_search_yes_exactly_at_the_edge(family, p):
+    # 42 iterations; without the restart the momentum overshoots and needs 79.
     chan = _qubit(family, p)
-    v = decide(Query(chan, Mode.ANTIDEGRADABLE), SearchConfig(seed=0), search=True)
+    cfg = SearchConfig(seed=0, max_iters=60)
+    v = decide(Query(chan, Mode.ANTIDEGRADABLE), cfg, search=True)
     assert v.status == "YES" and v.witness is None
     ok, report = verify_certificate(chan, Mode.ANTIDEGRADABLE, v.certificate)
     assert ok and report["tp"], report
 
 
 def test_search_opens_ququart():
-    # 72 iterations; plain alternating projections need 151.
+    # 10 iterations; plain alternating projections need 151.
     chan = td_channel(TDParams(4, -0.3))
-    cfg = SearchConfig(seed=0, max_iters=100)
+    cfg = SearchConfig(seed=0, max_iters=20)
     v = decide(Query(chan, Mode.ANTIDEGRADABLE), cfg, search=True)
     assert v.status == "YES"
     ok, report = verify_certificate(chan, Mode.ANTIDEGRADABLE, v.certificate)
@@ -235,9 +237,9 @@ def test_search_near_the_edge_is_no_within_20_iterations(family, p):
 
 
 def test_search_qutrit_within_iteration_budget():
-    # 89 iterations; plain alternating projections need 187.
+    # 10 iterations; plain alternating projections need 187.
     chan = td_channel(TDParams(3, -0.45))
-    cfg = SearchConfig(seed=0, max_iters=120)
+    cfg = SearchConfig(seed=0, max_iters=20)
     v = decide(Query(chan, Mode.ANTIDEGRADABLE), cfg, search=True)
     assert v.status == "YES"
     ok, report = verify_certificate(chan, Mode.ANTIDEGRADABLE, v.certificate)
@@ -250,14 +252,36 @@ def test_search_qutrit_within_iteration_budget():
         (12, 2, 3, Mode.ANTIDEGRADABLE),
         (10, 2, 3, Mode.CONJ_ANTIDEGRADABLE),
         (1, 3, 2, Mode.CONJ_DEGRADABLE),
+        (1, 3, 3, Mode.ANTIDEGRADABLE),
+        (16, 3, 3, Mode.ANTIDEGRADABLE),
     ],
 )
-def test_search_step_cap_keeps_random_channel_nos(seed, d_out, d_env, mode):
-    # With a cap of 4 on the extrapolated step, each of these ends INCONCLUSIVE.
+def test_search_keeps_random_channel_nos(seed, d_out, d_env, mode):
+    # Infeasible systems.  Too long a step with momentum makes the search
+    # cycle above the gap's infimum, and the last two end INCONCLUSIVE.
     chan = random_channel(np.random.default_rng(seed), 2, d_out, d_env)
     v = decide(Query(chan, mode), SearchConfig(seed=0), search=True)
     assert v.status == "NO"
     check_witness(chan, mode, v.witness)
+
+
+def test_search_settles_a_census_no():
+    # No CP solution; the search finds the witness after 1,023 iterations.
+    chan = random_channel(np.random.default_rng(9), 2, 3, 3)
+    v = decide(Query(chan, Mode.DEGRADABLE), SearchConfig(seed=0), search=True)
+    assert v.status == "NO"
+    check_witness(chan, Mode.DEGRADABLE, v.witness)
+
+
+@pytest.mark.parametrize("d, t", [(3, -1 / 8), (4, -1 / 15)])
+def test_search_settles_td_conjugate_antidegradable(d, t):
+    # About 1,500 iterations each; plain alternating projections do not
+    # settle them in 2,000.
+    chan = td_channel(TDParams(d, t))
+    v = decide(Query(chan, Mode.CONJ_ANTIDEGRADABLE), SearchConfig(seed=0), search=True)
+    assert v.status == "YES"
+    ok, report = verify_certificate(chan, Mode.CONJ_ANTIDEGRADABLE, v.certificate)
+    assert ok and report["tp"], report
 
 
 def test_project_directions_is_an_orthogonal_projection_within_the_solutions(rng):
@@ -450,6 +474,19 @@ def test_qubit_margin_vanishes_at_the_proven_edge():
     assert abs(_qubit_antidegradable_margin(td_channel(TDParams(2, -2 / 3)))) < 1e-12
     assert _qubit_antidegradable_margin(td_channel(TDParams(2, -0.7))) < -0.04
     assert _qubit_antidegradable_margin(depolarizing(DepolParams(2, 0.7))) < -0.04
+
+
+@pytest.mark.parametrize("seed", [2009, 2012, 2015, 2021])
+def test_search_settles_thin_full_rank_qubit_sets(seed):
+    # Full-rank target Choi matrices whose smallest eigenvalues are near 0:
+    # 50-433 iterations, where plain alternating projections need 4,300 to
+    # over 20,000.
+    chan = random_channel(np.random.default_rng(seed), 2, 2, 4)
+    assert _qubit_antidegradable_margin(chan) > 0
+    v = decide(Query(chan, Mode.ANTIDEGRADABLE), SearchConfig(seed=0), search=True)
+    assert v.status == "YES"
+    ok, report = verify_certificate(chan, Mode.ANTIDEGRADABLE, v.certificate)
+    assert ok and report["tp"], report
 
 
 def test_qubit_antidegradable_matches_the_closed_form():

@@ -41,17 +41,21 @@ def test_psd_floor_is_one_rule(offset, accepted):
     q, _ = np.linalg.qr(np.arange(16.0).reshape(4, 4) + np.eye(4) * 5.0)
     lam_min = -1e-9 * 3.5 * (1.0 - offset)
     m = (q * [2.0, 1.0, 0.5, lam_min]) @ q.T
-    floor = psd_floor(m)
-    assert (np.linalg.eigvalsh(m)[0] >= floor) == accepted
-    assert abs(np.linalg.eigvalsh(m)[0] - floor) > 1e-3 * abs(floor)
+    # The same matrix scaled to unit trace: its smallest eigenvalue sits 1 %
+    # above or below the floor -psd_tol too.
+    state = m / np.trace(m)
+    for x in (m, state):
+        floor = psd_floor(x)
+        assert (np.linalg.eigvalsh(x)[0] >= floor) == accepted
+        assert abs(np.linalg.eigvalsh(x)[0] - floor) > 1e-3 * abs(floor)
 
     choi = ChoiMatrix(2, 2, m)
     assert is_cp(choi)[0] == accepted
     if accepted:
-        DensityMatrix(m, normalized=False)
+        DensityMatrix(state)
         choi_to_kraus(choi)
     else:
         with pytest.raises(ValueError, match="negative eigenvalue"):
-            DensityMatrix(m, normalized=False)
+            DensityMatrix(state)
         with pytest.raises(NotCP):
             choi_to_kraus(choi)
