@@ -120,12 +120,7 @@ def cmd_decide(args) -> int:
     mode = Mode(args.mode)
     if args.search and args.seed is None:
         raise CliError("--search requires --seed for reproducibility")
-    cfg = SearchConfig(
-        seed=args.seed if args.seed is not None else 0,
-        restarts=args.restarts,
-        max_iters=args.max_iters,
-        tol=tol,
-    )
+    cfg = SearchConfig(seed=0, max_iters=args.max_iters, tol=tol)
     verdict = decide(Query(chan, mode), cfg, search=args.search)
     doc = verdict_to_dict(verdict)
     doc["channel"] = args.channel
@@ -242,7 +237,9 @@ def build_parser():
     p.add_argument("--search", action="store_true", help="search the solution family")
     p.add_argument("--seed", type=int, default=None, help="required with --search; only echoed, the search is deterministic")
     p.add_argument("--restarts", type=int, default=32, help="ignored")
-    p.add_argument("--max-iters", type=int, default=2000, help="search iteration bound")
+    p.add_argument(
+        "--max-iters", type=int, default=SearchConfig.max_iters, help="search iteration bound"
+    )
     common(p)
     p.set_defaults(func=cmd_decide)
 

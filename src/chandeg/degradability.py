@@ -18,11 +18,12 @@ an affine set A, and ``kernel_search`` decides whether A meets the PSD Choi
 cone by alternating projections (Bauschke & Borwein, SIAM Review 38 (1996))
 accelerated by FISTA momentum (Beck & Teboulle, SIAM J. Imaging Sci. 2
 (2009)) with adaptive restart (O'Donoghue & Candes, Found. Comput. Math. 15
-(2015)).
+(2015)).  Without search it stops at iteration 0: only its starting point,
+the trace-preserving projection of D0, is tested.
 """
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 
@@ -183,20 +184,6 @@ class _Directions(Sequence):
         return np.kron(self._family.kernel[:, index // cols], np.eye(cols)[index % cols])
 
 
-def swap_superop(d: int) -> SuperOp:
-    """Superoperator of entrywise conjugation on Hermitian states.
-
-    On a Hermitian rho, conjugation equals transposition; the right-acting
-    matrix is the SWAP permutation C[k*d+mu, l*d+nu] = delta_{k,nu} delta_{mu,l},
-    an involution that merely permutes superoperator columns.
-    """
-    C = np.zeros((d * d, d * d))
-    for k in range(d):
-        for mu in range(d):
-            C[k * d + mu, mu * d + k] = 1.0
-    return SuperOp(d, d, C)
-
-
 def _residual(known, D, target, tol: Tolerance):
     """(||known @ D - target||, whether it is at most residual_tol * max(1, ||target||))."""
     residual = float(np.linalg.norm(known @ D - target))
@@ -326,8 +313,11 @@ def _build_system(q: Query):
     else:
         raise ValueError(f"unknown mode {q.mode!r}")
     if q.mode in (Mode.CONJ_DEGRADABLE, Mode.CONJ_ANTIDEGRADABLE):
-        swap = swap_superop(target.d_out).matrix
-        target = SuperOp(target.d_in, target.d_out, target.matrix @ swap)
+        # Conjugation acts on Hermitian states as transposition, which swaps
+        # the two indices of each superoperator column.
+        d, shape = target.d_out, target.matrix.shape
+        matrix = target.matrix.reshape(-1, d, d).transpose(0, 2, 1).reshape(shape)
+        target = SuperOp(target.d_in, d, matrix)
     return known, target
 
 
@@ -337,35 +327,30 @@ def decide(q: Query, cfg: SearchConfig | None = None, search: bool = False) -> V
     NO is returned only with evidence: the system is inconsistent (no
     solution exists), the solution is unique and fails complete positivity,
     or the search found a Witness.  YES carries a CPTP certificate: the unique
-    solution, the trace-preserving projection of a CP pseudoinverse
-    candidate, or the search's point.  A non-unique system is otherwise
+    solution or a point of ``kernel_search``.  Every consistent system with
+    more than one solution goes to ``kernel_search``; without search it stops
+    at iteration 0, so only its starting point, the trace-preserving
+    projection of the candidate, is tested, and a non-PSD start is
     INCONCLUSIVE.
     """
-    if search and cfg is None:
-        raise ValueError("kernel search requires an explicit SearchConfig")
-    tol = cfg.tol if cfg is not None else DEFAULT_TOL
+    cfg = cfg if cfg is not None else SearchConfig(seed=0)
     known, target = _build_system(q)
-    family = _solutions(known, target, tol)
+    family = _solutions(known, target, cfg.tol)
     unique = family.kernel_dim == 0
     R0 = superop_to_choi(family.base).matrix
     eigs, _ = hermitian_eigs(R0)
-    cand_cp = bool(eigs[0] >= psd_floor(R0, tol))
 
     found = None
     if not family.consistent:
         status = "NO"
     elif unique:
-        status = "YES" if cand_cp else "NO"
-        found = family.base if cand_cp else None
-    elif search or cand_cp:
-        # Without search only the starting point, the trace-preserving
-        # projection of the candidate, is tried.
-        found = kernel_search(family, cfg if search else SearchConfig(0, max_iters=0, tol=tol))
+        found = family.base if eigs[0] >= psd_floor(R0, cfg.tol) else None
+        status = "NO" if found is None else "YES"
+    else:
+        found = kernel_search(family, cfg if search else replace(cfg, max_iters=0))
         status = (
             "NO" if isinstance(found, Witness) else "INCONCLUSIVE" if found is None else "YES"
         )
-    else:
-        status = "INCONCLUSIVE"
     return Verdict(
         status=status,
         mode=q.mode,

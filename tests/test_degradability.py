@@ -29,7 +29,6 @@ from chandeg.degradability import (
     ecd_screen,
     kernel_family,
     kernel_search,
-    swap_superop,
     verdict_to_dict,
     verify_certificate,
 )
@@ -41,6 +40,7 @@ from chandeg.zoo import (
     antidegrading_certificate_matrix,
     depolarizing,
     td_channel,
+    td_complement_qubit,
 )
 
 from conftest import haar_isometry, random_channel, random_state
@@ -79,19 +79,37 @@ def check_witness(channel, mode, witness):
     npt.assert_allclose(value.real, witness.margin, atol=1e-9 * scale)
 
 
-def test_swap_superop_acts_as_transpose(rng):
+CONJUGATE_PAIRS = [
+    (Mode.DEGRADABLE, Mode.CONJ_DEGRADABLE),
+    (Mode.ANTIDEGRADABLE, Mode.CONJ_ANTIDEGRADABLE),
+]
+
+
+def test_conjugate_target_is_the_target_then_transpose(rng):
     from chandeg.channel import apply
 
-    for d in (2, 3):
-        C = swap_superop(d)
-        rho = random_state(rng, d)
-        npt.assert_allclose(apply(C, rho), rho.T, atol=1e-14)
-        npt.assert_array_equal(C.matrix @ C.matrix, np.eye(d * d))
+    for d_out, d_env in ((2, 2), (3, 2), (2, 3)):
+        chan = random_channel(rng, 2, d_out, d_env)
+        for plain, conj in CONJUGATE_PAIRS:
+            known, target = _build_system(Query(chan, plain))
+            known_c, target_c = _build_system(Query(chan, conj))
+            npt.assert_array_equal(known_c.matrix, known.matrix)
+            assert (target_c.d_in, target_c.d_out) == (target.d_in, target.d_out)
+            for _ in range(3):
+                rho = random_state(rng, 2)
+                npt.assert_allclose(apply(target_c, rho), apply(target, rho).T, atol=1e-14)
 
 
-def test_swap_composition_preserves_rank(rng):
-    D = rng.normal(size=(9, 9)) @ np.diag([1, 1, 1, 1, 0, 0, 0, 0, 0.0])
-    assert numeric_rank(D @ swap_superop(3).matrix) == numeric_rank(D)
+def test_conjugate_target_preserves_rank(rng):
+    # at t = 0 every target has fewer independent columns than columns
+    td = td_channel(TDParams(3, 0.0))
+    for chan in (td, random_channel(rng, 2, 3, 2)):
+        for plain, conj in CONJUGATE_PAIRS:
+            _, target = _build_system(Query(chan, plain))
+            _, target_c = _build_system(Query(chan, conj))
+            rank = numeric_rank(target.matrix)
+            assert numeric_rank(target_c.matrix) == rank
+            assert chan is not td or rank < target.matrix.shape[1]
 
 
 def test_candidate_map_identity_known(rng):
@@ -357,6 +375,46 @@ def test_decide_antidegradable_inconclusive_then_yes():
     assert v2.status == "YES"
     ok, _ = verify_certificate(q.channel, q.mode, v2.certificate)
     assert ok
+
+
+@pytest.mark.parametrize(
+    "chan, mode",
+    [
+        (td_channel(TDParams(3, -0.31)), Mode.ANTIDEGRADABLE),
+        (td_channel(TDParams(4, -0.24)), Mode.ANTIDEGRADABLE),
+        (depolarizing(DepolParams(2, 0.487)), Mode.ANTIDEGRADABLE),
+        (td_complement_qubit(-0.494), Mode.DEGRADABLE),
+    ],
+)
+def test_search_start_decides_without_search(chan, mode):
+    # the pseudoinverse candidate is not CP, but its trace-preserving
+    # projection, the search's starting point, is
+    q = Query(chan, mode)
+    D0, _, _ = candidate_map(*_build_system(q))
+    assert not verify_certificate(chan, mode, D0)[1]["cp"]
+    v = decide(q)
+    assert v.status == "YES" and not v.unique
+    ok, report = verify_certificate(chan, mode, v.certificate)
+    assert ok and report["tp"], report
+
+
+def test_no_search_yes_is_the_search_start():
+    # iteration 0 of the search is the point decide tests without search
+    shapes = ((2, 3, 1), (2, 2, 2), (2, 4, 2), (2, 2, 3))
+    found = 0
+    for seed in range(12):
+        for shape in shapes:
+            chan = random_channel(np.random.default_rng(seed), *shape)
+            for mode in Mode:
+                q = Query(chan, mode)
+                v = decide(q)
+                if v.status != "YES":
+                    continue
+                found += not v.unique
+                s = decide(q, SearchConfig(seed=0), search=True)
+                assert s.status == "YES"
+                npt.assert_array_equal(s.certificate.matrix, v.certificate.matrix)
+    assert found >= 20
 
 
 @pytest.mark.parametrize(
