@@ -18,8 +18,8 @@ an affine set A, and ``kernel_search`` decides whether A meets the PSD Choi
 cone by alternating projections (Bauschke & Borwein, SIAM Review 38 (1996))
 accelerated by FISTA momentum (Beck & Teboulle, SIAM J. Imaging Sci. 2
 (2009)) with adaptive restart (O'Donoghue & Candes, Found. Comput. Math. 15
-(2015)).  Without search it stops at iteration 0: only its starting point,
-the trace-preserving projection of D0, is tested.
+(2015)).  Without search it stops at iteration 0 and runs only when D0 is CP:
+only its starting point, the trace-preserving projection of D0, is tested.
 """
 
 from collections.abc import Sequence
@@ -327,11 +327,11 @@ def decide(q: Query, cfg: SearchConfig | None = None, search: bool = False) -> V
     NO is returned only with evidence: the system is inconsistent (no
     solution exists), the solution is unique and fails complete positivity,
     or the search found a Witness.  YES carries a CPTP certificate: the unique
-    solution or a point of ``kernel_search``.  Every consistent system with
-    more than one solution goes to ``kernel_search``; without search it stops
-    at iteration 0, so only its starting point, the trace-preserving
-    projection of the candidate, is tested, and a non-PSD start is
-    INCONCLUSIVE.
+    solution or a point of ``kernel_search``.  Without search, a consistent
+    system with more than one solution goes to ``kernel_search`` stopped at
+    iteration 0, and only when the pseudoinverse candidate is CP: only the
+    search's starting point, the trace-preserving projection of the
+    candidate, is tested.  Such a system is otherwise INCONCLUSIVE.
     """
     cfg = cfg if cfg is not None else SearchConfig(seed=0)
     known, target = _build_system(q)
@@ -340,17 +340,21 @@ def decide(q: Query, cfg: SearchConfig | None = None, search: bool = False) -> V
     R0 = superop_to_choi(family.base).matrix
     eigs, _ = hermitian_eigs(R0)
 
+    cand_cp = bool(eigs[0] >= psd_floor(R0, cfg.tol))
+
     found = None
     if not family.consistent:
         status = "NO"
     elif unique:
-        found = family.base if eigs[0] >= psd_floor(R0, cfg.tol) else None
-        status = "NO" if found is None else "YES"
-    else:
+        found = family.base if cand_cp else None
+        status = "YES" if cand_cp else "NO"
+    elif search or cand_cp:
         found = kernel_search(family, cfg if search else replace(cfg, max_iters=0))
         status = (
             "NO" if isinstance(found, Witness) else "INCONCLUSIVE" if found is None else "YES"
         )
+    else:
+        status = "INCONCLUSIVE"
     return Verdict(
         status=status,
         mode=q.mode,

@@ -386,15 +386,21 @@ def test_decide_antidegradable_inconclusive_then_yes():
         (td_complement_qubit(-0.494), Mode.DEGRADABLE),
     ],
 )
-def test_search_start_decides_without_search(chan, mode):
-    # the pseudoinverse candidate is not CP, but its trace-preserving
-    # projection, the search's starting point, is
+def test_search_start_certifies_what_the_candidate_gate_leaves_open(chan, mode):
+    # the pseudoinverse candidate is not CP, so decide without search does not
+    # try the search's starting point, its trace-preserving projection, which
+    # is already a certificate: the search returns it at iteration 0
     q = Query(chan, mode)
-    D0, _, _ = candidate_map(*_build_system(q))
+    known, target = _build_system(q)
+    D0, _, _ = candidate_map(known, target)
     assert not verify_certificate(chan, mode, D0)[1]["cp"]
     v = decide(q)
-    assert v.status == "YES" and not v.unique
-    ok, report = verify_certificate(chan, mode, v.certificate)
+    assert v.status == "INCONCLUSIVE" and not v.unique
+    start = kernel_search(kernel_family(known, target), SearchConfig(seed=0, max_iters=0))
+    s = decide(q, search=True)
+    assert s.status == "YES"
+    npt.assert_array_equal(s.certificate.matrix, start.matrix)
+    ok, report = verify_certificate(chan, mode, s.certificate)
     assert ok and report["tp"], report
 
 
