@@ -118,13 +118,10 @@ def cmd_decide(args) -> int:
     tol = _tolerance(args)
     chan = parse_channel(args.channel)
     mode = Mode(args.mode)
-    if args.search and args.seed is None:
-        raise CliError("--search requires --seed for reproducibility")
-    cfg = SearchConfig(seed=0, max_iters=args.max_iters, tol=tol)
-    verdict = decide(Query(chan, mode), cfg, search=args.search)
+    verdict = decide(Query(chan, mode), SearchConfig(max_iters=args.max_iters, tol=tol))
     doc = verdict_to_dict(verdict)
     doc["channel"] = args.channel
-    if args.search:
+    if args.search and args.seed is not None:
         doc["seed"] = args.seed
     _emit(_json(doc), args.output)
     return {"YES": EXIT_YES, "NO": EXIT_NO, "INCONCLUSIVE": EXIT_INCONCLUSIVE}[verdict.status]
@@ -234,8 +231,8 @@ def build_parser():
     p = sub.add_parser("decide", help="decide one degradability mode")
     p.add_argument("--channel", required=True)
     p.add_argument("--mode", required=True, choices=[m.value for m in Mode])
-    p.add_argument("--search", action="store_true", help="search the solution family")
-    p.add_argument("--seed", type=int, default=None, help="required with --search; only echoed, the search is deterministic")
+    p.add_argument("--search", action="store_true", help="ignored: decide always searches")
+    p.add_argument("--seed", type=int, default=None, help="echoed with --search; the search is deterministic")
     p.add_argument("--restarts", type=int, default=32, help="ignored")
     p.add_argument(
         "--max-iters", type=int, default=SearchConfig.max_iters, help="search iteration bound"

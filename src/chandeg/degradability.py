@@ -18,12 +18,11 @@ an affine set A, and ``kernel_search`` decides whether A meets the PSD Choi
 cone by alternating projections (Bauschke & Borwein, SIAM Review 38 (1996))
 accelerated by FISTA momentum (Beck & Teboulle, SIAM J. Imaging Sci. 2
 (2009)) with adaptive restart (O'Donoghue & Candes, Found. Comput. Math. 15
-(2015)).  Without search it stops at iteration 0 and runs only when D0 is CP:
-only its starting point, the trace-preserving projection of D0, is tested.
+(2015)).  Every consistent system with more than one solution is searched.
 """
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
@@ -75,9 +74,10 @@ class Query:
 class SearchConfig:
     """Feasibility-search configuration: ``max_iters`` bounds the iterations
     of ``kernel_search``.  The search is deterministic: ``seed`` and
-    ``restarts`` are ignored, and its momentum restarts by a fixed rule."""
+    ``restarts`` are ignored, and its momentum restarts by a fixed rule.
+    They stay accepted because existing callers pass them."""
 
-    seed: int
+    seed: int = 0
     restarts: int = 32
     max_iters: int = 2000
     tol: Tolerance = DEFAULT_TOL
@@ -326,35 +326,31 @@ def decide(q: Query, cfg: SearchConfig | None = None, search: bool = False) -> V
 
     NO is returned only with evidence: the system is inconsistent (no
     solution exists), the solution is unique and fails complete positivity,
-    or the search found a Witness.  YES carries a CPTP certificate: the unique
-    solution or a point of ``kernel_search``.  Without search, a consistent
-    system with more than one solution goes to ``kernel_search`` stopped at
-    iteration 0, and only when the pseudoinverse candidate is CP: only the
-    search's starting point, the trace-preserving projection of the
-    candidate, is tested.  Such a system is otherwise INCONCLUSIVE.
+    or ``kernel_search`` found a Witness.  YES carries a CPTP certificate:
+    the unique solution or a point of ``kernel_search``, which every
+    consistent system with more than one solution goes to.  INCONCLUSIVE
+    means that search ran out its ``max_iters``.  ``search`` is ignored: it
+    stays accepted because existing callers pass it.
     """
-    cfg = cfg if cfg is not None else SearchConfig(seed=0)
+    cfg = cfg if cfg is not None else SearchConfig()
     known, target = _build_system(q)
     family = _solutions(known, target, cfg.tol)
     unique = family.kernel_dim == 0
     R0 = superop_to_choi(family.base).matrix
     eigs, _ = hermitian_eigs(R0)
 
-    cand_cp = bool(eigs[0] >= psd_floor(R0, cfg.tol))
-
     found = None
     if not family.consistent:
         status = "NO"
     elif unique:
-        found = family.base if cand_cp else None
-        status = "YES" if cand_cp else "NO"
-    elif search or cand_cp:
-        found = kernel_search(family, cfg if search else replace(cfg, max_iters=0))
+        cp = bool(eigs[0] >= psd_floor(R0, cfg.tol))
+        found = family.base if cp else None
+        status = "YES" if cp else "NO"
+    else:
+        found = kernel_search(family, cfg)
         status = (
             "NO" if isinstance(found, Witness) else "INCONCLUSIVE" if found is None else "YES"
         )
-    else:
-        status = "INCONCLUSIVE"
     return Verdict(
         status=status,
         mode=q.mode,

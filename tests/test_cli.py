@@ -44,24 +44,29 @@ def test_decide_exit_codes(capsys):
     assert code == 1
     assert json.loads(out)["status"] == "NO"
 
+    # the qubit edge: the search settles it in under 50 iterations
     args = ["decide", "--channel", "td:d=2,t=-0.6666666666666666", "--mode", "antidegradable"]
-    code, out, _ = run_cli(args, capsys)
+    code, out, _ = run_cli(args + ["--max-iters", "5"], capsys)
     assert code == 2
     assert json.loads(out)["status"] == "INCONCLUSIVE"
 
-    code, out, _ = run_cli(args + ["--search", "--seed", "7"], capsys)
+    code, out, _ = run_cli(args, capsys)
     assert code == 0
     doc = json.loads(out)
-    assert doc["status"] == "YES" and doc["seed"] == 7 and "certificate" in doc
+    assert doc["status"] == "YES" and "seed" not in doc and "certificate" in doc
+
+    code, out, _ = run_cli(args + ["--search", "--seed", "7"], capsys)
+    assert code == 0
+    assert json.loads(out) == dict(doc, seed=7)
 
 
-def test_decide_search_requires_seed(capsys):
-    code, _, err = run_cli(
-        ["decide", "--channel", "td:d=2,t=0", "--mode", "antidegradable", "--search"],
-        capsys,
-    )
-    assert code == 3
-    assert "error:" in err
+def test_decide_search_without_seed_is_a_plain_decide(capsys):
+    args = ["decide", "--channel", "td:d=2,t=0", "--mode", "antidegradable"]
+    code, plain, _ = run_cli(args, capsys)
+    assert code == 0
+    code, out, err = run_cli(args + ["--search"], capsys)
+    assert code == 0 and err == ""
+    assert out == plain
 
 
 def test_decide_rejects_negative_max_iters(capsys):

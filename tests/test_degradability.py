@@ -189,7 +189,7 @@ def test_kernel_search_finds_certificate_at_boundary():
     chan = td_channel(TDParams(2, -2 / 3))
     comp = complement(chan)
     fam = kernel_family(comp.superop, chan.superop)
-    found = kernel_search(fam, SearchConfig(seed=7))
+    found = kernel_search(fam, SearchConfig())
     assert found is not None
     ok, report = verify_certificate(chan, Mode.ANTIDEGRADABLE, found)
     assert ok, report
@@ -199,7 +199,7 @@ def test_kernel_search_fails_outside_known_region():
     chan = td_channel(TDParams(2, -0.8))
     comp = complement(chan)
     fam = kernel_family(comp.superop, chan.superop)
-    witness = kernel_search(fam, SearchConfig(seed=7, restarts=8))
+    witness = kernel_search(fam, SearchConfig())
     assert isinstance(witness, Witness)
     check_witness(chan, Mode.ANTIDEGRADABLE, witness)
 
@@ -215,7 +215,7 @@ def _qubit(family, p):
 )
 def test_search_past_the_edge_is_no_with_witness(family, p):
     chan = _qubit(family, p)
-    v = decide(Query(chan, Mode.ANTIDEGRADABLE), SearchConfig(seed=0), search=True)
+    v = decide(Query(chan, Mode.ANTIDEGRADABLE))
     assert v.status == "NO" and v.certificate is None
     check_witness(chan, Mode.ANTIDEGRADABLE, v.witness)
     doc = verdict_to_dict(v)
@@ -226,8 +226,8 @@ def test_search_past_the_edge_is_no_with_witness(family, p):
 def test_search_yes_exactly_at_the_edge(family, p):
     # 42 iterations; without the restart the momentum overshoots and needs 79.
     chan = _qubit(family, p)
-    cfg = SearchConfig(seed=0, max_iters=60)
-    v = decide(Query(chan, Mode.ANTIDEGRADABLE), cfg, search=True)
+    cfg = SearchConfig(max_iters=60)
+    v = decide(Query(chan, Mode.ANTIDEGRADABLE), cfg)
     assert v.status == "YES" and v.witness is None
     ok, report = verify_certificate(chan, Mode.ANTIDEGRADABLE, v.certificate)
     assert ok and report["tp"], report
@@ -236,8 +236,8 @@ def test_search_yes_exactly_at_the_edge(family, p):
 def test_search_opens_ququart():
     # 10 iterations; plain alternating projections need 151.
     chan = td_channel(TDParams(4, -0.3))
-    cfg = SearchConfig(seed=0, max_iters=20)
-    v = decide(Query(chan, Mode.ANTIDEGRADABLE), cfg, search=True)
+    cfg = SearchConfig(max_iters=20)
+    v = decide(Query(chan, Mode.ANTIDEGRADABLE), cfg)
     assert v.status == "YES"
     ok, report = verify_certificate(chan, Mode.ANTIDEGRADABLE, v.certificate)
     assert ok and report["tp"], report
@@ -248,8 +248,8 @@ def test_search_near_the_edge_is_no_within_20_iterations(family, p):
     # The first iterate is no witness here; the search finds one at iteration
     # 15, where plain alternating projections need 31.
     chan = _qubit(family, p)
-    cfg = SearchConfig(seed=0, max_iters=20)
-    v = decide(Query(chan, Mode.ANTIDEGRADABLE), cfg, search=True)
+    cfg = SearchConfig(max_iters=20)
+    v = decide(Query(chan, Mode.ANTIDEGRADABLE), cfg)
     assert v.status == "NO"
     check_witness(chan, Mode.ANTIDEGRADABLE, v.witness)
 
@@ -257,8 +257,8 @@ def test_search_near_the_edge_is_no_within_20_iterations(family, p):
 def test_search_qutrit_within_iteration_budget():
     # 10 iterations; plain alternating projections need 187.
     chan = td_channel(TDParams(3, -0.45))
-    cfg = SearchConfig(seed=0, max_iters=20)
-    v = decide(Query(chan, Mode.ANTIDEGRADABLE), cfg, search=True)
+    cfg = SearchConfig(max_iters=20)
+    v = decide(Query(chan, Mode.ANTIDEGRADABLE), cfg)
     assert v.status == "YES"
     ok, report = verify_certificate(chan, Mode.ANTIDEGRADABLE, v.certificate)
     assert ok and report["tp"], report
@@ -278,7 +278,7 @@ def test_search_keeps_random_channel_nos(seed, d_out, d_env, mode):
     # Infeasible systems.  Too long a step with momentum makes the search
     # cycle above the gap's infimum, and the last two end INCONCLUSIVE.
     chan = random_channel(np.random.default_rng(seed), 2, d_out, d_env)
-    v = decide(Query(chan, mode), SearchConfig(seed=0), search=True)
+    v = decide(Query(chan, mode))
     assert v.status == "NO"
     check_witness(chan, mode, v.witness)
 
@@ -286,7 +286,7 @@ def test_search_keeps_random_channel_nos(seed, d_out, d_env, mode):
 def test_search_settles_a_census_no():
     # No CP solution; the search finds the witness after 1,023 iterations.
     chan = random_channel(np.random.default_rng(9), 2, 3, 3)
-    v = decide(Query(chan, Mode.DEGRADABLE), SearchConfig(seed=0), search=True)
+    v = decide(Query(chan, Mode.DEGRADABLE))
     assert v.status == "NO"
     check_witness(chan, Mode.DEGRADABLE, v.witness)
 
@@ -296,7 +296,7 @@ def test_search_settles_td_conjugate_antidegradable(d, t):
     # About 1,500 iterations each; plain alternating projections do not
     # settle them in 2,000.
     chan = td_channel(TDParams(d, t))
-    v = decide(Query(chan, Mode.CONJ_ANTIDEGRADABLE), SearchConfig(seed=0), search=True)
+    v = decide(Query(chan, Mode.CONJ_ANTIDEGRADABLE))
     assert v.status == "YES"
     ok, report = verify_certificate(chan, Mode.CONJ_ANTIDEGRADABLE, v.certificate)
     assert ok and report["tp"], report
@@ -322,15 +322,22 @@ def test_project_directions_is_an_orthogonal_projection_within_the_solutions(rng
 
 def test_search_gives_up_after_max_iters():
     chan = td_channel(TDParams(3, -0.45))
-    v = decide(Query(chan, Mode.ANTIDEGRADABLE), SearchConfig(seed=0, max_iters=5), search=True)
+    v = decide(Query(chan, Mode.ANTIDEGRADABLE), SearchConfig(max_iters=5))
     assert v.status == "INCONCLUSIVE" and v.certificate is None and v.witness is None
 
 
 def test_search_config_rejects_negative_max_iters():
     # With max_iters = -1 the search would not even test its start point.
     with pytest.raises(ValueError, match="max_iters"):
-        SearchConfig(seed=0, max_iters=-1)
-    assert SearchConfig(seed=0, max_iters=0).max_iters == 0
+        SearchConfig(max_iters=-1)
+    assert SearchConfig(max_iters=0).max_iters == 0
+
+
+def test_seed_restarts_and_search_are_ignored():
+    q = Query(td_channel(TDParams(3, -0.45)), Mode.ANTIDEGRADABLE)
+    plain = verdict_to_dict(decide(q))
+    assert plain["status"] == "YES" and not plain["unique"]
+    assert verdict_to_dict(decide(q, SearchConfig(seed=5, restarts=1), search=True)) == plain
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -342,7 +349,7 @@ def test_search_config_rejects_negative_max_iters():
 )
 def test_search_evidence_checks_out(seed, d_out, d_env, mode):
     chan = random_channel(np.random.default_rng(seed), 2, d_out, d_env)
-    v = decide(Query(chan, mode), SearchConfig(seed=0, max_iters=300), search=True)
+    v = decide(Query(chan, mode), SearchConfig(max_iters=300))
     if v.status == "YES":
         ok, report = verify_certificate(chan, mode, v.certificate)
         assert ok and report["tp"], report
@@ -366,12 +373,13 @@ def test_decide_degradable_no():
 
 
 def test_decide_antidegradable_inconclusive_then_yes():
+    # the qubit edge: the search needs more than 5 iterations to settle it
     q = Query(td_channel(TDParams(2, -2 / 3)), Mode.ANTIDEGRADABLE)
-    v = decide(q)
+    v = decide(q, SearchConfig(max_iters=5))
     assert v.status == "INCONCLUSIVE"
     assert not v.unique
     assert v.kernel_dim == 48
-    v2 = decide(q, SearchConfig(seed=11), search=True)
+    v2 = decide(q)
     assert v2.status == "YES"
     ok, _ = verify_certificate(q.channel, q.mode, v2.certificate)
     assert ok
@@ -387,40 +395,19 @@ def test_decide_antidegradable_inconclusive_then_yes():
     ],
 )
 def test_search_start_certifies_what_the_candidate_gate_leaves_open(chan, mode):
-    # the pseudoinverse candidate is not CP, so decide without search does not
-    # try the search's starting point, its trace-preserving projection, which
-    # is already a certificate: the search returns it at iteration 0
+    # the pseudoinverse candidate is not CP, but the search's starting point,
+    # its trace-preserving projection, is already a certificate: decide
+    # returns it at iteration 0
     q = Query(chan, mode)
     known, target = _build_system(q)
     D0, _, _ = candidate_map(known, target)
     assert not verify_certificate(chan, mode, D0)[1]["cp"]
+    start = kernel_search(kernel_family(known, target), SearchConfig(max_iters=0))
     v = decide(q)
-    assert v.status == "INCONCLUSIVE" and not v.unique
-    start = kernel_search(kernel_family(known, target), SearchConfig(seed=0, max_iters=0))
-    s = decide(q, search=True)
-    assert s.status == "YES"
-    npt.assert_array_equal(s.certificate.matrix, start.matrix)
-    ok, report = verify_certificate(chan, mode, s.certificate)
+    assert v.status == "YES" and not v.unique
+    npt.assert_array_equal(v.certificate.matrix, start.matrix)
+    ok, report = verify_certificate(chan, mode, v.certificate)
     assert ok and report["tp"], report
-
-
-def test_no_search_yes_is_the_search_start():
-    # iteration 0 of the search is the point decide tests without search
-    shapes = ((2, 3, 1), (2, 2, 2), (2, 4, 2), (2, 2, 3))
-    found = 0
-    for seed in range(12):
-        for shape in shapes:
-            chan = random_channel(np.random.default_rng(seed), *shape)
-            for mode in Mode:
-                q = Query(chan, mode)
-                v = decide(q)
-                if v.status != "YES":
-                    continue
-                found += not v.unique
-                s = decide(q, SearchConfig(seed=0), search=True)
-                assert s.status == "YES"
-                npt.assert_array_equal(s.certificate.matrix, v.certificate.matrix)
-    assert found >= 20
 
 
 @pytest.mark.parametrize(
@@ -449,14 +436,32 @@ def test_decide_antidegradable_candidate_eigs_at_zero():
     npt.assert_allclose(v.candidate_choi_eigs, [0.5] * 8, atol=1e-10)
 
 
-def test_decide_never_no_for_wide_channels(rng):
+def test_decide_wide_channels_are_consistent_and_every_no_is_witnessed(rng):
     # with d_out > d_in the channel superop has full row rank, so the
-    # composition equation is always solvable and NO cannot occur
+    # composition equation is always solvable, and a NO can only come from
+    # the search's witness
+    witnessed = 0
     for _ in range(20):
         c = random_channel(rng, 2, 3, 2)
         v = decide(Query(c, Mode.DEGRADABLE))
         assert v.consistent
-        assert v.status in ("YES", "INCONCLUSIVE")
+        if v.status == "NO":
+            check_witness(c, Mode.DEGRADABLE, v.witness)
+            witnessed += 1
+    assert witnessed
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_qubit_channel_with_qubit_environment_is_degradable_or_antidegradable(seed):
+    # Wolf & Perez-Garcia, PRA 75, 012303 (2007): a qubit channel with two
+    # Kraus operators is degradable or antidegradable
+    chan = random_channel(np.random.default_rng(8000 + seed), 2, 2, 2)
+    verdicts = [decide(Query(chan, mode)) for mode in (Mode.DEGRADABLE, Mode.ANTIDEGRADABLE)]
+    assert "YES" in [v.status for v in verdicts]
+    for v in verdicts:
+        if v.status == "YES":
+            ok, report = verify_certificate(chan, v.mode, v.certificate)
+            assert ok and report["tp"], report
 
 
 def test_conjugate_modes_run(rng):
@@ -520,7 +525,7 @@ def test_verdict_serialization_round_trip():
 
 # The oracle and invariant tests below skip INCONCLUSIVE verdicts: only a
 # settled status carries evidence.
-ORACLE_CFG = SearchConfig(seed=0, max_iters=500)
+ORACLE_CFG = SearchConfig(max_iters=500)
 
 
 def _qubit_antidegradable_margin(chan):
@@ -547,7 +552,7 @@ def test_search_settles_thin_full_rank_qubit_sets(seed):
     # over 20,000.
     chan = random_channel(np.random.default_rng(seed), 2, 2, 4)
     assert _qubit_antidegradable_margin(chan) > 0
-    v = decide(Query(chan, Mode.ANTIDEGRADABLE), SearchConfig(seed=0), search=True)
+    v = decide(Query(chan, Mode.ANTIDEGRADABLE))
     assert v.status == "YES"
     ok, report = verify_certificate(chan, Mode.ANTIDEGRADABLE, v.certificate)
     assert ok and report["tp"], report
@@ -557,7 +562,7 @@ def test_qubit_antidegradable_matches_the_closed_form():
     settled = []
     for seed in range(5000, 5040):
         chan = random_channel(np.random.default_rng(seed), 2, 2, 1 + seed % 4)
-        v = decide(Query(chan, Mode.ANTIDEGRADABLE), ORACLE_CFG, search=True)
+        v = decide(Query(chan, Mode.ANTIDEGRADABLE), ORACLE_CFG)
         if v.status != "INCONCLUSIVE":
             settled.append(v.status)
             assert (v.status == "YES") == (_qubit_antidegradable_margin(chan) >= 0), seed
@@ -567,8 +572,8 @@ def test_qubit_antidegradable_matches_the_closed_form():
 def test_degradable_iff_complement_antidegradable():
     for seed in range(7000, 7020):
         chan = random_channel(np.random.default_rng(seed), 2, 2 + seed % 2, 2 + seed // 2 % 2)
-        a = decide(Query(chan, Mode.DEGRADABLE), ORACLE_CFG, search=True).status
-        b = decide(Query(complement(chan), Mode.ANTIDEGRADABLE), ORACLE_CFG, search=True)
+        a = decide(Query(chan, Mode.DEGRADABLE), ORACLE_CFG).status
+        b = decide(Query(complement(chan), Mode.ANTIDEGRADABLE), ORACLE_CFG)
         assert "INCONCLUSIVE" in (a, b.status) or a == b.status, seed
 
 
@@ -583,8 +588,8 @@ def test_kraus_remixing_keeps_every_settled_status():
         U = haar_isometry(rng, len(ops), len(ops))
         remixed = Channel(KrausSet(2, chan.d_out, tuple(np.tensordot(U, ops, axes=1))))
         for mode in Mode:
-            a = decide(Query(chan, mode), ORACLE_CFG, search=True).status
-            b = decide(Query(remixed, mode), ORACLE_CFG, search=True).status
+            a = decide(Query(chan, mode), ORACLE_CFG).status
+            b = decide(Query(remixed, mode), ORACLE_CFG).status
             if "INCONCLUSIVE" not in (a, b):
                 compared += 1
                 assert a == b, (seed, mode)
