@@ -273,7 +273,10 @@ def kernel_search(family: KernelFamily, cfg: SearchConfig):
         neg = int(np.searchsorted(w, 0.0))
         gap = float(w[:neg] @ w[:neg])  # ||R - P||^2
         N = (v[:, :neg] * w[:neg]) @ v[:, :neg].conj().T  # R - P
-        del v  # Choi-sized arrays are freed once spent, to bound peak memory
+        # Choi-sized arrays are freed once spent, to bound peak memory: v
+        # here, Z, N and LN below, and in decide the system (known, target)
+        # and the candidate's Choi matrix and eigenvectors.
+        del v
         LN = family.project_directions(N)  # R - X
         R -= LN  # X
         # A witness costs a second eigendecomposition, so it is tried only
@@ -288,6 +291,7 @@ def kernel_search(family: KernelFamily, cfg: SearchConfig):
                 Z.flat[:: len(Z) + 1] += mu
                 if margin < floor * float(np.trace(Z).real):
                     return Witness(choi=Z, margin=margin)
+            del Z
         del N, LN
         if gap > last_gap:
             t = 1.0
@@ -333,17 +337,17 @@ def decide(q: Query, cfg: SearchConfig | None = None, search: bool = False) -> V
     stays accepted because existing callers pass it.
     """
     cfg = cfg if cfg is not None else SearchConfig()
-    known, target = _build_system(q)
-    family = _solutions(known, target, cfg.tol)
+    family = _solutions(*_build_system(q), cfg.tol)
     unique = family.kernel_dim == 0
     R0 = superop_to_choi(family.base).matrix
-    eigs, _ = hermitian_eigs(R0)
+    eigs = hermitian_eigs(R0)[0]
+    cp = bool(eigs[0] >= psd_floor(R0, cfg.tol))
+    del R0
 
     found = None
     if not family.consistent:
         status = "NO"
     elif unique:
-        cp = bool(eigs[0] >= psd_floor(R0, cfg.tol))
         found = family.base if cp else None
         status = "YES" if cp else "NO"
     else:

@@ -164,6 +164,7 @@ def test_verify_fixture(capsys):
         ("td:d=3,t=-0.1", "antidegradable"),
         ("td:d=4,t=-0.1", "antidegradable"),
         ("td:d=3,t=-0.5", "degradable"),
+        ("td:d=3,t=-0.1", "conj-antidegradable"),
     ],
 )
 def test_decide_output_verifies(tmp_path, capsys, spec, mode):

@@ -1,4 +1,6 @@
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -356,6 +358,26 @@ def test_search_evidence_checks_out(seed, d_out, d_env, mode):
     elif v.witness is not None:
         assert v.status == "NO"
         check_witness(chan, mode, v.witness)
+
+
+@pytest.mark.parametrize("d, t", [(3, -0.4), (4, -0.3)])
+def test_decide_peak_memory_is_at_most_ten_choi_arrays(d, t):
+    # The degrading map's Choi matrix is d^3 x d^3 complex (environment d^2,
+    # output d).  Spent Choi-sized arrays are freed before the search peaks,
+    # so one decide stays below ten of them above the memory in use before it.
+    q = Query(td_channel(TDParams(d, t)), Mode.ANTIDEGRADABLE)
+    decide(q)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        v = decide(q)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert v.status == "YES"
+    assert peak <= 10 * d**6 * 16, peak / (d**6 * 16)
 
 
 def test_decide_degradable_unitary_case():
