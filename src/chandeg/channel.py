@@ -285,12 +285,6 @@ def complement(c) -> Channel:
     return Channel(KrausSet(k.d_in, stack.shape[0], ops), label=name)
 
 
-def is_unital(c: Channel, tol: Tolerance = DEFAULT_TOL):
-    """True when the channel maps I/d_in to I/d_out."""
-    out = apply(c.superop, np.eye(c.d_in) / c.d_in)
-    return bool(np.linalg.norm(out - np.eye(c.d_out) / c.d_out) <= tol.residual_tol)
-
-
 def choi_rank(c: Channel, tol: Tolerance = DEFAULT_TOL) -> int:
     """Rank of the Choi matrix (minimal environment dimension)."""
     return numeric_rank(c.choi.matrix, tol)

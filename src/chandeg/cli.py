@@ -2,13 +2,15 @@
 
 Commands: decide, sweep-eigs, capacity, screen, verify.  Exit codes: 0 = YES
 (or success), 1 = NO (or failed verification), 2 = INCONCLUSIVE, 3 = input
-error.  All seeded commands are deterministic: identical arguments (including
---seed) produce byte-identical output.
+error, a malformed command line included.  All seeded commands are
+deterministic: identical arguments (including --seed) produce byte-identical
+output.  Each command takes only the tolerance flags its code reads.
 """
 
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -33,7 +35,7 @@ from .degradability import (
     verdict_to_dict,
     verify_certificate,
 )
-from .linalg import DEFAULT_TOL, Tolerance, hermitian_eigs
+from .linalg import Tolerance, hermitian_eigs
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -46,7 +48,9 @@ class CliError(ValueError):
 
 
 def _tolerance(args) -> Tolerance:
-    return Tolerance(args.rank_tol, args.psd_tol, args.residual_tol)
+    """The tolerance flags given; Tolerance's own defaults for the rest."""
+    given = {f.name: getattr(args, f.name) for f in fields(Tolerance) if f.name in args}
+    return Tolerance(**given)
 
 
 def _parse_kv(body, keys):
@@ -222,11 +226,11 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, *tolerances):
+        """--output, and a --<name>-tol flag for each tolerance the command reads."""
         p.add_argument("--output", default=None, help="write to file instead of stdout")
-        p.add_argument("--rank-tol", type=float, default=DEFAULT_TOL.rank_tol)
-        p.add_argument("--psd-tol", type=float, default=DEFAULT_TOL.psd_tol)
-        p.add_argument("--residual-tol", type=float, default=DEFAULT_TOL.residual_tol)
+        for name in tolerances:
+            p.add_argument(f"--{name}-tol", type=float, default=argparse.SUPPRESS)
 
     p = sub.add_parser("decide", help="decide one degradability mode")
     p.add_argument("--channel", required=True)
@@ -237,7 +241,7 @@ def build_parser():
     p.add_argument(
         "--max-iters", type=int, default=SearchConfig.max_iters, help="search iteration bound"
     )
-    common(p)
+    common(p, "rank", "psd", "residual")
     p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("sweep-eigs", help="candidate Choi eigenvalues vs t (CSV)")
@@ -245,7 +249,7 @@ def build_parser():
     p.add_argument("--t-start", type=float, default=None)
     p.add_argument("--t-stop", type=float, default=None)
     p.add_argument("--t-points", type=int, default=None)
-    common(p)
+    common(p, "rank", "residual")
     p.set_defaults(func=cmd_sweep_eigs)
 
     p = sub.add_parser("capacity", help="capacity curve of the TD complement (CSV)")
@@ -258,20 +262,22 @@ def build_parser():
 
     p = sub.add_parser("screen", help="exclusive-conjugate-degradability screen")
     p.add_argument("--channel", required=True)
-    common(p)
+    common(p, "rank", "psd")
     p.set_defaults(func=cmd_screen)
 
     p = sub.add_parser("verify", help="re-verify a stored certificate")
     p.add_argument("--certificate", required=True, help="path to a certificate JSON")
-    common(p)
+    common(p, "psd", "residual")
     p.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return EXIT_INPUT_ERROR if exc.code else EXIT_YES
     try:
         return args.func(args)
     except (CliError, ValueError, OSError) as exc:

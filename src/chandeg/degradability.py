@@ -28,9 +28,8 @@ from functools import cached_property
 
 import numpy as np
 
-# perfbench/tracer.py patches minimize, pseudoinverse and kernel_basis in this
-# module, so they stay importable here although the engine no longer calls
-# them.  minimize is capacity's numpy-only matrix-exponentiated-gradient loop.
+# perfbench/tracer.py patches minimize and kernel_basis in this module, so
+# they stay importable here although the engine does not call them.
 from .capacity import minimize  # noqa: F401
 from .channel import (
     SCHEMA_VERSION,
@@ -46,7 +45,7 @@ from .channel import (
     superop_to_choi,
     to_pairs,
 )
-from .linalg import (  # noqa: F401  (kernel_basis, pseudoinverse: see above)
+from .linalg import (  # noqa: F401  (kernel_basis: see above)
     DEFAULT_TOL,
     Tolerance,
     hermitian_eigs,
@@ -54,7 +53,6 @@ from .linalg import (  # noqa: F401  (kernel_basis, pseudoinverse: see above)
     numeric_rank,
     psd_floor,
     pseudoinverse,
-    svd_pinv,
 )
 
 class Mode(str, Enum):
@@ -190,14 +188,16 @@ def _residual(known, D, target, tol: Tolerance):
     return residual, residual <= tol.residual_tol * max(1.0, float(np.linalg.norm(target)))
 
 
-def _solutions(known: SuperOp, target: SuperOp, tol: Tolerance) -> KernelFamily:
-    """The least-squares family of known @ D = target, from one SVD of known;
-    consistent when the least-squares residual vanishes."""
+def kernel_family(known: SuperOp, target: SuperOp, tol: Tolerance = DEFAULT_TOL) -> KernelFamily:
+    """The least-squares solutions of known @ D = target, from one SVD of
+    known; consistent when the least-squares residual vanishes.  The kernel
+    of known (x) I is {k_i (x) e_j}: it is kept as known's row space, not as
+    a list of directions."""
     if known.d_in != target.d_in:
         raise ValueError(
             f"known map input dim {known.d_in} != target input dim {target.d_in}"
         )
-    pinv, _, rowspace = svd_pinv(known.matrix, tol)
+    pinv, _, rowspace = pseudoinverse(known.matrix, tol)
     D = pinv @ target.matrix
     residual, consistent = _residual(known.matrix, D, target.matrix, tol)
     return KernelFamily(
@@ -210,24 +210,8 @@ def _solutions(known: SuperOp, target: SuperOp, tol: Tolerance) -> KernelFamily:
 
 def candidate_map(known: SuperOp, target: SuperOp, tol: Tolerance = DEFAULT_TOL):
     """Least-squares candidate D = pinv(known) @ target: (D, consistent, residual)."""
-    family = _solutions(known, target, tol)
+    family = kernel_family(known, target, tol)
     return family.base, family.consistent, family.residual
-
-
-def kernel_family(known: SuperOp, target: SuperOp, tol: Tolerance = DEFAULT_TOL) -> KernelFamily:
-    """All solutions of known @ D = target as base + null-space directions
-    (the kernel of known (x) I is {k_i (x) e_j}: it is kept as known's row
-    space, not as a list of directions)."""
-    family = _solutions(known, target, tol)
-    if not family.consistent:
-        raise InconsistentSystem(
-            f"composition equation unsolvable (residual {family.residual:.3e})"
-        )
-    return family
-
-
-class InconsistentSystem(ValueError):
-    """The composition equation has no solution at all."""
 
 
 def kernel_search(family: KernelFamily, cfg: SearchConfig):
@@ -337,7 +321,7 @@ def decide(q: Query, cfg: SearchConfig | None = None, search: bool = False) -> V
     stays accepted because existing callers pass it.
     """
     cfg = cfg if cfg is not None else SearchConfig()
-    family = _solutions(*_build_system(q), cfg.tol)
+    family = kernel_family(*_build_system(q), cfg.tol)
     unique = family.kernel_dim == 0
     R0 = superop_to_choi(family.base).matrix
     eigs = hermitian_eigs(R0)[0]

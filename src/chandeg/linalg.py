@@ -63,12 +63,8 @@ def numeric_rank(A, tol: Tolerance = DEFAULT_TOL):
 
 
 def pseudoinverse(A, tol: Tolerance = DEFAULT_TOL):
-    """Moore-Penrose pseudoinverse via SVD with rank_tol truncation."""
-    return svd_pinv(A, tol)[0]
-
-
-def svd_pinv(A, tol: Tolerance = DEFAULT_TOL):
-    """(pseudoinverse, numeric rank, row space) of A from one thin SVD.
+    """(Moore-Penrose pseudoinverse, numeric rank, row space) of A from one
+    thin SVD, truncated at rank_tol.
 
     The row space is returned as ``rank`` orthonormal rows, so that
     ``I - V^H V`` projects onto the null space of A.

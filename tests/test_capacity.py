@@ -15,6 +15,7 @@ from chandeg.capacity import (
     von_neumann_entropy,
 )
 from chandeg.channel import Channel, KrausSet, apply, apply_adjoint, complement
+from chandeg.degradability import Mode, Query, decide
 from chandeg.zoo import OutOfCPRange, TDParams, td_channel, td_complement_qubit
 
 from conftest import random_channel, random_state
@@ -266,3 +267,15 @@ def test_traced_one_shot_counts_minimize_evaluations(monkeypatch):
     finally:
         t.uninstall()
     assert t.calls["capacity.minimize"] == 1 and t.nfev["capacity.minimize"] > 0
+
+
+def test_traced_decide_counts_one_solve(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    t = importlib.import_module("tracer").Tracer()
+    t.install()
+    try:
+        decide(Query(td_channel(TDParams(3, -0.45)), Mode.ANTIDEGRADABLE))
+    finally:
+        t.uninstall()
+    assert t.calls["linalg.pseudoinverse"] == 1
+    assert t.calls["degradability.kernel_family"] == 1

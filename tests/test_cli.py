@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from chandeg.cli import build_parser, main, parse_channel
+from chandeg.linalg import DEFAULT_TOL
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "fixtures" / "antidegrading_certificate_qubit_td.json"
@@ -226,10 +227,58 @@ def test_verify_of_a_verdict_without_certificate(tmp_path, capsys):
 def test_out_of_range_tolerance_is_an_input_error(flag, value, capsys):
     # At t = -0.9 the qubit TD channel is not antidegradable (below -2/3).
     decide = ["decide", "--channel", "td:d=2,t=-0.9", "--mode", "antidegradable"]
-    for argv in (decide, ["verify", "--certificate", str(FIXTURE)]):
+    verify = ["verify", "--certificate", str(FIXTURE)]
+    for argv in [decide] if flag == "--rank-tol" else [decide, verify]:  # verify reads no rank_tol
         code, out, err = run_cli(argv + [flag, value], capsys)
         assert code == 3 and out == ""
         assert flag[2:].replace("-", "_") in err
+
+
+# One quick command line per subcommand, and the tolerances its code reads.
+COMMANDS = {
+    "decide": (["decide", "--channel", "td:d=2,t=-0.5", "--mode", "antidegradable"],
+               ("rank", "psd", "residual")),
+    "sweep-eigs": (["sweep-eigs", "--d", "2", "--t-points", "2"], ("rank", "residual")),
+    "capacity": (["capacity", "--d", "2", "--t-points", "2"], ()),
+    "screen": (["screen", "--channel", "td-comp:t=0.25"], ("rank", "psd")),
+    "verify": (["verify", "--certificate", str(FIXTURE)], ("psd", "residual")),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_each_command_takes_only_the_tolerances_it_reads(command, capsys):
+    argv, reads = COMMANDS[command]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    for name in ("rank", "psd", "residual"):
+        flag = [f"--{name}-tol", repr(getattr(DEFAULT_TOL, f"{name}_tol"))]
+        if name in reads:
+            assert run_cli(argv + flag, capsys) == (code, out, "")
+        else:
+            code_x, out_x, err_x = run_cli(argv + flag, capsys)
+            assert code_x == 3 and out_x == ""
+            assert f"unrecognized arguments: --{name}-tol" in err_x
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["decide", "--mode", "antidegradable"],  # no --channel
+        ["decide", "--channel", "td:d=2,t=0", "--mode", "bogus"],
+        ["sweep-eigs", "--d", "4"],
+    ],
+)
+def test_usage_errors_are_input_errors(argv, capsys):
+    # argparse's own exit code, 2, would read as INCONCLUSIVE.
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3 and out == "" and "error:" in err
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["decide", "--help"]):
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and out.startswith("usage: chandeg")
 
 
 def test_output_flag_writes_file(tmp_path, capsys):

@@ -20,7 +20,6 @@ from chandeg.channel import (
     to_pairs,
 )
 from chandeg.degradability import (
-    InconsistentSystem,
     Mode,
     Query,
     SearchConfig,
@@ -183,8 +182,9 @@ def test_kernel_family_members_solve_the_system(rng):
 def test_kernel_family_requires_consistency():
     # a rank-one known map cannot reproduce the identity
     depolarize_all = td_channel(TDParams(2, 0.0)).superop
-    with pytest.raises(InconsistentSystem):
-        kernel_family(depolarize_all, SuperOp(2, 2, np.eye(4)))
+    fam = kernel_family(depolarize_all, SuperOp(2, 2, np.eye(4)))
+    assert not fam.consistent
+    assert fam.residual >= 0.1
 
 
 def test_kernel_search_finds_certificate_at_boundary():

@@ -57,18 +57,18 @@ def test_inner_product_identity(rng):
 
 
 def test_pseudoinverse_diagonal():
-    npt.assert_allclose(pseudoinverse(np.diag([2.0, 0.0])), np.diag([0.5, 0.0]), atol=1e-14)
+    npt.assert_allclose(pseudoinverse(np.diag([2.0, 0.0]))[0], np.diag([0.5, 0.0]), atol=1e-14)
 
 
 def test_pseudoinverse_unitary(rng):
     Q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-    npt.assert_allclose(pseudoinverse(Q), Q.conj().T, atol=1e-12)
+    npt.assert_allclose(pseudoinverse(Q)[0], Q.conj().T, atol=1e-12)
 
 
 def test_pseudoinverse_moore_penrose(rng):
     for _ in range(20):
         A = rng.normal(size=(4, 9)) + 1j * rng.normal(size=(4, 9))
-        Ap = pseudoinverse(A)
+        Ap = pseudoinverse(A)[0]
         npt.assert_allclose(A @ Ap @ A, A, atol=1e-10)
         npt.assert_allclose(Ap @ A @ Ap, Ap, atol=1e-10)
         npt.assert_allclose(A @ Ap, (A @ Ap).conj().T, atol=1e-10)
@@ -77,7 +77,7 @@ def test_pseudoinverse_moore_penrose(rng):
 
 
 def test_pseudoinverse_zero_matrix():
-    npt.assert_array_equal(pseudoinverse(np.zeros((2, 3))), np.zeros((3, 2)))
+    npt.assert_array_equal(pseudoinverse(np.zeros((2, 3)))[0], np.zeros((3, 2)))
 
 
 def test_numeric_rank_entangled_projector():
