@@ -249,7 +249,7 @@ def build_parser():
     p.add_argument("--t-start", type=float, default=None)
     p.add_argument("--t-stop", type=float, default=None)
     p.add_argument("--t-points", type=int, default=None)
-    common(p, "rank", "residual")
+    common(p, "rank")
     p.set_defaults(func=cmd_sweep_eigs)
 
     p = sub.add_parser("capacity", help="capacity curve of the TD complement (CSV)")

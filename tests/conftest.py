@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from chandeg.channel import Channel, KrausSet
+from chandeg.channel import Channel, KrausSet, apply
+from chandeg.linalg import DEFAULT_TOL
 
 
 def random_state(rng, d):
@@ -25,6 +26,12 @@ def random_channel(rng, d_in, d_out, d_env):
         raise ValueError("need d_out * d_env >= d_in for an isometry")
     blocks = haar_isometry(rng, d_out * d_env, d_in).reshape(d_env, d_out, d_in)
     return Channel(KrausSet(d_in, d_out, tuple(blocks[e] for e in range(d_env))))
+
+
+def is_unital(c):
+    """True when the channel maps I/d_in to I/d_out, within the default residual_tol."""
+    out = apply(c.superop, np.eye(c.d_in) / c.d_in)
+    return bool(np.linalg.norm(out - np.eye(c.d_out) / c.d_out) <= DEFAULT_TOL.residual_tol)
 
 
 @pytest.fixture

@@ -27,10 +27,9 @@ from chandeg.channel import (
     partial_transpose,
     superop_to_choi,
 )
-from chandeg.linalg import DEFAULT_TOL
 from chandeg.zoo import TDParams, td_channel
 
-from conftest import random_channel, random_state
+from conftest import is_unital, random_channel, random_state
 
 
 def identity_channel(d):
@@ -184,12 +183,6 @@ def test_td_cp_boundaries():
             R = ChoiMatrix(d, d, t * swap + (1 - t) / d * np.eye(d * d))
             ok, _ = is_cp(R)
             assert not ok
-
-
-def is_unital(c):
-    """True when the channel maps I/d_in to I/d_out, within the default residual_tol."""
-    out = apply(c.superop, np.eye(c.d_in) / c.d_in)
-    return bool(np.linalg.norm(out - np.eye(c.d_out) / c.d_out) <= DEFAULT_TOL.residual_tol)
 
 
 def test_td_is_unital_and_tp():

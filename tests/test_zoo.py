@@ -2,8 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from chandeg.channel import apply, complement, is_tp
-from chandeg.linalg import DEFAULT_TOL
+from chandeg.channel import complement, is_tp
 from chandeg.zoo import (
     ClonerParams,
     DepolParams,
@@ -21,7 +20,7 @@ from chandeg.zoo import (
     td_complement_qubit,
 )
 
-from conftest import random_state
+from conftest import is_unital, random_state
 
 
 def test_td_params_range():
@@ -60,8 +59,7 @@ def test_td_action_and_unitality(rng):
         c = td_channel(TDParams(d, t))
         rho = random_state(rng, d)
         npt.assert_allclose(c(rho), t * rho.T + (1 - t) / d * np.eye(d), atol=1e-12)
-        unital_dev = np.linalg.norm(apply(c.superop, np.eye(d) / d) - np.eye(d) / d)
-        assert unital_dev <= DEFAULT_TOL.residual_tol
+        assert is_unital(c)
         ok, _ = is_tp(c.choi)
         assert ok
 
