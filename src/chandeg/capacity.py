@@ -178,15 +178,6 @@ def minimize(fun, x0, max_iters: int) -> MinimizeResult:
     return MinimizeResult(x=x, fun=float(value), nfev=nfev, nit=nit)
 
 
-def _state_from_params(x, d):
-    X = x[: d * d].reshape(d, d) + 1j * x[d * d :].reshape(d, d)
-    G = X @ X.conj().T
-    tr = np.trace(G).real
-    if tr < 1e-12:
-        return np.eye(d) / d
-    return G / tr
-
-
 def _entropy_and_adjoint_log(S: SuperOp, rho, tol: Tolerance = DEFAULT_TOL):
     """H(S(rho)) in nats and S^dag(log S(rho)), from one eigendecomposition.
 
@@ -246,7 +237,10 @@ def one_shot_optimize(c: Channel, cfg: OptimizerConfig, base: float = 2.0) -> Ca
 
     starts = [np.eye(d) / d]
     for _ in range(cfg.restarts - 1):
-        starts.append(_state_from_params(rng.standard_normal(2 * d * d), d))
+        a, b = rng.standard_normal((2, d, d))
+        X = a + 1j * b
+        G = X @ X.conj().T
+        starts.append(G / np.trace(G).real)
 
     best_val, best_state = -np.inf, np.eye(d) / d
     for x0 in starts:

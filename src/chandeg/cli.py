@@ -2,9 +2,9 @@
 
 Commands: decide, sweep-eigs, capacity, screen, verify.  Exit codes: 0 = YES
 (or success), 1 = NO (or failed verification), 2 = INCONCLUSIVE, 3 = input
-error, a malformed command line included.  All seeded commands are
-deterministic: identical arguments (including --seed) produce byte-identical
-output.  Each command takes only the tolerance flags its code reads.
+error, a malformed command line or input too large to build included.  Every
+command is deterministic: identical arguments produce byte-identical output.
+Each command takes only the tolerance flags its code reads.
 """
 
 import argparse
@@ -125,8 +125,6 @@ def cmd_decide(args) -> int:
     verdict = decide(Query(chan, mode), SearchConfig(max_iters=args.max_iters, tol=tol))
     doc = verdict_to_dict(verdict)
     doc["channel"] = args.channel
-    if args.search and args.seed is not None:
-        doc["seed"] = args.seed
     _emit(_json(doc), args.output)
     return {"YES": EXIT_YES, "NO": EXIT_NO, "INCONCLUSIVE": EXIT_INCONCLUSIVE}[verdict.status]
 
@@ -135,6 +133,8 @@ def _grid(args, default_start, default_stop, default_points):
     start = default_start if args.t_start is None else args.t_start
     stop = default_stop if args.t_stop is None else args.t_stop
     points = default_points if args.t_points is None else args.t_points
+    if not (np.isfinite(start) and np.isfinite(stop)):
+        raise CliError("t_start and t_stop must be finite")
     if points < 2 or stop <= start:
         raise CliError("need t_stop > t_start and at least 2 grid points")
     return np.linspace(start, stop, points)
@@ -235,9 +235,6 @@ def build_parser():
     p = sub.add_parser("decide", help="decide one degradability mode")
     p.add_argument("--channel", required=True)
     p.add_argument("--mode", required=True, choices=[m.value for m in Mode])
-    p.add_argument("--search", action="store_true", help="ignored: decide always searches")
-    p.add_argument("--seed", type=int, default=None, help="echoed with --search; the search is deterministic")
-    p.add_argument("--restarts", type=int, default=32, help="ignored")
     p.add_argument(
         "--max-iters", type=int, default=SearchConfig.max_iters, help="search iteration bound"
     )
@@ -282,6 +279,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except MemoryError as exc:  # exit 1 would read as NO
+        print(f"error: input too large to build: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

@@ -197,7 +197,7 @@ def kernel_family(known: SuperOp, target: SuperOp, tol: Tolerance = DEFAULT_TOL)
         raise ValueError(
             f"known map input dim {known.d_in} != target input dim {target.d_in}"
         )
-    pinv, _, rowspace = pseudoinverse(known.matrix, tol)
+    pinv, rowspace = pseudoinverse(known.matrix, tol)
     D = pinv @ target.matrix
     residual, consistent = _residual(known.matrix, D, target.matrix, tol)
     return KernelFamily(

@@ -63,18 +63,18 @@ def numeric_rank(A, tol: Tolerance = DEFAULT_TOL):
 
 
 def pseudoinverse(A, tol: Tolerance = DEFAULT_TOL):
-    """(Moore-Penrose pseudoinverse, numeric rank, row space) of A from one
-    thin SVD, truncated at rank_tol.
+    """(Moore-Penrose pseudoinverse, row space) of A from one thin SVD,
+    truncated at rank_tol.
 
-    The row space is returned as ``rank`` orthonormal rows, so that
-    ``I - V^H V`` projects onto the null space of A.
+    The row space is returned as orthonormal rows, one per singular value
+    kept, so that ``I - V^H V`` projects onto the null space of A.
     """
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     U, s, Vh = np.linalg.svd(A, full_matrices=False)
     rank = _rank(s, tol)
     s_inv = np.zeros_like(s)
     s_inv[:rank] = 1.0 / s[:rank]
-    return (Vh.conj().T * s_inv) @ U.conj().T, rank, Vh[:rank]
+    return (Vh.conj().T * s_inv) @ U.conj().T, Vh[:rank]
 
 
 def kernel_basis(A, tol: Tolerance = DEFAULT_TOL):

@@ -54,25 +54,17 @@ def test_decide_exit_codes(capsys):
     code, out, _ = run_cli(args, capsys)
     assert code == 0
     doc = json.loads(out)
-    assert doc["status"] == "YES" and "seed" not in doc and "certificate" in doc
+    assert doc["status"] == "YES" and "certificate" in doc
 
-    code, out, _ = run_cli(args + ["--search", "--seed", "7"], capsys)
-    assert code == 0
-    assert json.loads(out) == dict(doc, seed=7)
-
-
-def test_decide_search_without_seed_is_a_plain_decide(capsys):
-    args = ["decide", "--channel", "td:d=2,t=0", "--mode", "antidegradable"]
-    code, plain, _ = run_cli(args, capsys)
-    assert code == 0
-    code, out, err = run_cli(args + ["--search"], capsys)
-    assert code == 0 and err == ""
-    assert out == plain
+    # the options of the removed seeded, restarted search
+    for flag in (["--search"], ["--seed", "7"], ["--restarts", "1"]):
+        code, out, err = run_cli(args + flag, capsys)
+        assert code == 3 and out == ""
+        assert f"unrecognized arguments: {' '.join(flag)}" in err
 
 
 def test_decide_rejects_negative_max_iters(capsys):
-    argv = ["decide", "--channel", "td:d=3,t=-0.1", "--mode", "antidegradable",
-            "--search", "--seed", "1"]
+    argv = ["decide", "--channel", "td:d=3,t=-0.1", "--mode", "antidegradable"]
     code, out, err = run_cli(argv + ["--max-iters", "-1"], capsys)
     assert code == 3 and out == "" and "max_iters" in err
     code, out, _ = run_cli(argv + ["--max-iters", "0"], capsys)
@@ -211,7 +203,7 @@ def test_verify_of_a_verdict_without_certificate(tmp_path, capsys):
     verdict = tmp_path / "no.json"
     code, _, _ = run_cli(
         ["decide", "--channel", "td:d=2,t=-0.7", "--mode", "antidegradable",
-         "--search", "--seed", "1", "--output", str(verdict)],
+         "--output", str(verdict)],
         capsys,
     )
     assert code == 1
@@ -277,6 +269,34 @@ def test_usage_errors_are_input_errors(argv, capsys):
     assert code == 3 and out == "" and "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["capacity", "--d", "2", "--t-stop", "inf"],
+        ["sweep-eigs", "--d", "2", "--t-stop", "inf"],
+        ["sweep-eigs", "--d", "3", "--t-start=-inf"],
+        ["capacity", "--d", "3", "--t-start", "nan"],
+    ],
+)
+def test_non_finite_grid_end_is_an_input_error(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3 and out == ""
+    assert err == "error: t_start and t_stop must be finite\n"
+
+
+def test_out_of_memory_is_an_input_error(monkeypatch, capsys):
+    # Exit 1 would read as NO.
+    def too_large(params):
+        raise MemoryError("Unable to allocate 14.6 TiB")
+
+    monkeypatch.setattr("chandeg.zoo.td_channel", too_large)
+    code, out, err = run_cli(
+        ["decide", "--channel", "td:d=1000000,t=0", "--mode", "degradable"], capsys
+    )
+    assert code == 3 and out == ""
+    assert err == "error: input too large to build: Unable to allocate 14.6 TiB\n"
+
+
 def test_help_exits_0(capsys):
     for argv in (["--help"], ["decide", "--help"]):
         code, out, _ = run_cli(argv, capsys)
@@ -302,25 +322,22 @@ def test_tolerance_flags_parse():
     assert args.residual_tol == 1e-8
 
 
-def test_seeded_runs_are_byte_identical():
-    argv = [
-        sys.executable, "-m", "chandeg.cli", "decide",
-        "--channel", "td:d=2,t=-0.6666666666666666",
-        "--mode", "antidegradable", "--search", "--seed", "123",
-    ]
-    first = subprocess.run(argv, capture_output=True)
-    second = subprocess.run(argv, capture_output=True)
+@pytest.mark.parametrize("spec", ["td:d=2,t=-0.6666666666666666", "td:d=3,t=-0.5"])
+def test_cli_runs_are_byte_identical(spec):
+    """Two invocations of one command line, each in a fresh interpreter, emit
+    byte-identical output."""
+    argv = [sys.executable, "-m", "chandeg.cli", "decide", "--channel", spec,
+            "--mode", "antidegradable"]
+    first, second = (subprocess.run(argv, capture_output=True) for _ in range(2))
     assert first.returncode == second.returncode == 0
-    assert first.stdout == second.stdout
-    assert len(first.stdout) > 0
+    assert first.stdout == second.stdout and len(first.stdout) > 0
 
 
 # Every command with the exit code it must return; none of them needs scipy.
 NO_SCIPY_COMMANDS = [
     (["decide", "--channel", "td:d=2,t=-1", "--mode", "degradable"], 0),
     (["decide", "--channel", "td:d=2,t=0.2", "--mode", "degradable"], 1),
-    (["decide", "--channel", "td:d=2,t=-0.6666666666666666", "--mode", "antidegradable",
-      "--search", "--seed", "7"], 0),
+    (["decide", "--channel", "td:d=2,t=-0.6666666666666666", "--mode", "antidegradable"], 0),
     (["sweep-eigs", "--d", "2", "--t-points", "3"], 0),
     (["capacity", "--d", "2", "--t-points", "3"], 0),
     (["screen", "--channel", "td:d=2,t=0.2"], 0),
