@@ -14,6 +14,8 @@ Conversion between Choi matrix and superoperator is the pure index permutation
     M[k*d_in + mu, l*d_out + nu] = R[k*d_out + l, mu*d_out + nu].
 """
 
+import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -297,6 +299,60 @@ def to_pairs(A) -> list:
 
 def from_pairs(rows) -> np.ndarray:
     return np.array([[complex(re, im) for re, im in row] for row in rows])
+
+
+def _json_float(x: float) -> str:
+    """x as json.dumps writes it: its repr, or NaN, Infinity or -Infinity."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def _matrix_pieces(A, pad):
+    """json.dumps(to_pairs(A), indent=2) indented by pad, a row a piece, for
+    a complex matrix A with at least one row and one column."""
+    p1, p2, p3 = pad + "  ", pad + "    ", pad + "      "
+    pair = f"{p2}[\n{p3}{{}},\n{p3}{{}}\n{p2}]"
+    text = float.__repr__ if np.isfinite(A).all() else _json_float
+    sep = "[\n"
+    for row in A:
+        re, im = row.real.tolist(), row.imag.tolist()
+        body = ",\n".join(map(pair.format, map(text, re), map(text, im)))
+        yield f"{sep}{p1}[\n{body}\n{p1}]"
+        sep = ",\n"
+    yield f"\n{pad}]"
+
+
+def _json_pieces(obj, pad):
+    """json.dumps(obj, sort_keys=True, indent=2) indented by pad, in pieces;
+    each ndarray as its to_pairs list.  Keys must be strings."""
+    inner = pad + "  "
+    if isinstance(obj, np.ndarray):
+        yield from _matrix_pieces(obj, pad)
+    elif isinstance(obj, dict) and obj:
+        sep = "{\n"
+        for key in sorted(obj):
+            yield f"{sep}{inner}{json.dumps(key)}: "
+            yield from _json_pieces(obj[key], inner)
+            sep = ",\n"
+        yield f"\n{pad}}}"
+    elif isinstance(obj, (list, tuple)) and obj:
+        sep = "[\n"
+        for item in obj:
+            yield sep + inner
+            yield from _json_pieces(item, inner)
+            sep = ",\n"
+        yield f"\n{pad}]"
+    else:
+        yield json.dumps(obj)
+
+
+def json_pieces(doc):
+    """The text of json.dumps(doc, sort_keys=True, indent=2) + "\\n", in
+    pieces (a matrix row a piece), each complex ndarray in doc written as
+    its to_pairs list."""
+    yield from _json_pieces(doc, "")
+    yield "\n"
 
 
 def channel_to_dict(c: Channel) -> dict:

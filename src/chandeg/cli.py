@@ -23,6 +23,7 @@ from .channel import (
     channel_from_dict,
     complement,
     from_pairs,
+    json_pieces,
     superop_to_choi,
 )
 from .degradability import (
@@ -102,20 +103,17 @@ def parse_channel(spec: str) -> Channel:
     raise CliError(f"unknown channel kind {kind!r}")
 
 
-def _emit(text, path):
+def _emit(pieces, path):
+    """Write the text pieces to the file at path, or else to sys.stdout."""
     if path:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
-
-
-def _json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def cmd_decide(args) -> int:
@@ -123,9 +121,9 @@ def cmd_decide(args) -> int:
     chan = parse_channel(args.channel)
     mode = Mode(args.mode)
     verdict = decide(Query(chan, mode), SearchConfig(max_iters=args.max_iters, tol=tol))
-    doc = verdict_to_dict(verdict)
+    doc = verdict_to_dict(verdict, arrays=True)
     doc["channel"] = args.channel
-    _emit(_json(doc), args.output)
+    _emit(json_pieces(doc), args.output)
     return {"YES": EXIT_YES, "NO": EXIT_NO, "INCONCLUSIVE": EXIT_INCONCLUSIVE}[verdict.status]
 
 
@@ -156,7 +154,7 @@ def cmd_sweep_eigs(args) -> int:
         if header is None:
             header = "t," + ",".join(f"lambda_{i+1}" for i in range(len(w)))
         rows.append(",".join([_fmt(params.t)] + [_fmt(float(x)) for x in w]))
-    _emit(header + "\n" + "\n".join(rows) + "\n", args.output)
+    _emit([header + "\n" + "\n".join(rows) + "\n"], args.output)
     return EXIT_YES
 
 
@@ -181,7 +179,7 @@ def cmd_capacity(args) -> int:
                 ]
             )
         )
-    _emit("\n".join(rows) + "\n", args.output)
+    _emit(["\n".join(rows) + "\n"], args.output)
     return EXIT_YES
 
 
@@ -191,7 +189,7 @@ def cmd_screen(args) -> int:
     report = ecd_screen(chan, tol)
     report["schema_version"] = SCHEMA_VERSION
     report["channel"] = args.channel
-    _emit(_json(report), args.output)
+    _emit(json_pieces(report), args.output)
     return EXIT_YES
 
 
@@ -215,7 +213,7 @@ def cmd_verify(args) -> int:
     report["schema_version"] = SCHEMA_VERSION
     report["channel"] = doc["channel"]
     report["mode"] = doc["mode"]
-    _emit(_json(report), args.output)
+    _emit(json_pieces(report), args.output)
     return EXIT_YES if ok else EXIT_NO
 
 

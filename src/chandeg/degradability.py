@@ -419,7 +419,11 @@ def ecd_screen(c: Channel, tol: Tolerance = DEFAULT_TOL) -> dict:
     }
 
 
-def verdict_to_dict(v: Verdict) -> dict:
+def verdict_to_dict(v: Verdict, *, arrays: bool = False) -> dict:
+    """The verdict's JSON document, its certificate and witness matrices as
+    to_pairs lists, or with ``arrays`` as the arrays themselves, which
+    json_pieces renders as the same pairs a row at a time."""
+    matrix = (lambda A: A) if arrays else to_pairs
     doc = {
         "schema_version": SCHEMA_VERSION,
         "status": v.status,
@@ -434,8 +438,8 @@ def verdict_to_dict(v: Verdict) -> dict:
         doc["certificate"] = {
             "d_in": v.certificate.d_in,
             "d_out": v.certificate.d_out,
-            "matrix": to_pairs(v.certificate.matrix),
+            "matrix": matrix(v.certificate.matrix),
         }
     if v.witness is not None:
-        doc["witness"] = {"margin": v.witness.margin, "choi": to_pairs(v.witness.choi)}
+        doc["witness"] = {"margin": v.witness.margin, "choi": matrix(v.witness.choi)}
     return doc

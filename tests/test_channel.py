@@ -1,6 +1,10 @@
+import json
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, strategies as st
 
 from chandeg.channel import (
     Channel,
@@ -23,9 +27,11 @@ from chandeg.channel import (
     is_cp,
     is_ppt,
     is_tp,
+    json_pieces,
     kraus_to_choi,
     partial_transpose,
     superop_to_choi,
+    to_pairs,
 )
 from chandeg.zoo import TDParams, td_channel
 
@@ -245,3 +251,38 @@ def test_channel_json_round_trip(rng):
     npt.assert_allclose(c2.superop.matrix, c.superop.matrix, atol=1e-12)
     with pytest.raises(ValueError):
         channel_from_dict({"d_in": 2})
+
+
+REALS = st.sampled_from([-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf]) | st.floats()
+
+
+@st.composite
+def complex_matrices(draw):
+    n, m = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    rows, cols = draw(st.sampled_from([(1, 1), (1, m), (n, 1), (n, m)]))
+    parts = draw(st.lists(REALS, min_size=2 * rows * cols, max_size=2 * rows * cols))
+    # Interleaved (re, im) pairs, so that no arithmetic touches NaN or inf.
+    return np.array(parts).view(complex).reshape(rows, cols)
+
+
+JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | REALS | st.text() | complex_matrices(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _with_pairs(doc):
+    if isinstance(doc, np.ndarray):
+        return to_pairs(doc)
+    if isinstance(doc, dict):
+        return {k: _with_pairs(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_with_pairs(v) for v in doc]
+    return doc
+
+
+@given(JSON_DOCS)
+def test_json_pieces_match_json_dumps(doc):
+    want = json.dumps(_with_pairs(doc), sort_keys=True, indent=2) + "\n"
+    assert "".join(json_pieces(doc)) == want

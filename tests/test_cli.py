@@ -1,7 +1,9 @@
+import gc
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -312,6 +314,38 @@ def test_output_flag_writes_file(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["status"] == "YES"
+
+
+@pytest.mark.parametrize("spec", ["td:d=4,t=-0.14", "td:d=2,t=-0.7"])
+def test_stdout_and_output_file_have_the_same_bytes(tmp_path, capsys, spec):
+    # A YES with its certificate, and a NO with its witness.
+    argv = ["decide", "--channel", spec, "--mode", "antidegradable"]
+    target = tmp_path / "verdict.json"
+    code, out, _ = run_cli(argv, capsys)
+    assert run_cli(argv + ["--output", str(target)], capsys)[0] == code
+    doc = json.loads(out)
+    assert ("certificate" if code == 0 else "witness") in doc
+    assert target.read_bytes() == out.encode()
+
+
+def test_decide_output_peak_memory_is_at_most_ten_choi_arrays(tmp_path):
+    # The degrading map's Choi matrix is d^3 x d^3 complex.  The verdict is
+    # written a row at a time, so writing it costs far less than deciding.
+    d = 4
+    argv = ["decide", "--channel", f"td:d={d},t=-0.14", "--mode", "antidegradable",
+            "--output", str(tmp_path / "verdict.json")]
+    main(argv)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 10 * d**6 * 16, peak / (d**6 * 16)
 
 
 def test_tolerance_flags_parse():
