@@ -313,11 +313,10 @@ def _matrix_pieces(A, pad):
     a complex matrix A with at least one row and one column."""
     p1, p2, p3 = pad + "  ", pad + "    ", pad + "      "
     pair = f"{p2}[\n{p3}{{}},\n{p3}{{}}\n{p2}]"
-    text = float.__repr__ if np.isfinite(A).all() else _json_float
     sep = "[\n"
     for row in A:
         re, im = row.real.tolist(), row.imag.tolist()
-        body = ",\n".join(map(pair.format, map(text, re), map(text, im)))
+        body = ",\n".join(map(pair.format, map(_json_float, re), map(_json_float, im)))
         yield f"{sep}{p1}[\n{body}\n{p1}]"
         sep = ",\n"
     yield f"\n{pad}]"

@@ -9,6 +9,7 @@ Each command takes only the tolerance flags its code reads.
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 
@@ -104,12 +105,25 @@ def parse_channel(spec: str) -> Channel:
 
 
 def _emit(pieces, path):
-    """Write the text pieces to the file at path, or else to sys.stdout."""
-    if path:
+    """Write the text pieces to sys.stdout, or to the file at path.  A regular
+    file is written to a ".part" file beside it and renamed over it once
+    complete, so a run that fails part way leaves any earlier file intact."""
+    if not path:
+        sys.stdout.writelines(pieces)
+        return
+    if os.path.exists(path) and not os.path.isfile(path):  # a pipe or device
         with open(path, "w") as fh:
             fh.writelines(pieces)
-    else:
-        sys.stdout.writelines(pieces)
+        return
+    target = os.path.realpath(path)
+    part = target + ".part"
+    try:
+        with open(part, "w") as fh:
+            fh.writelines(pieces)
+        os.replace(part, target)
+    finally:
+        if os.path.exists(part):
+            os.remove(part)
 
 
 def _fmt(x: float) -> str:
@@ -121,7 +135,7 @@ def cmd_decide(args) -> int:
     chan = parse_channel(args.channel)
     mode = Mode(args.mode)
     verdict = decide(Query(chan, mode), SearchConfig(max_iters=args.max_iters, tol=tol))
-    doc = verdict_to_dict(verdict, arrays=True)
+    doc = verdict_to_dict(verdict)
     doc["channel"] = args.channel
     _emit(json_pieces(doc), args.output)
     return {"YES": EXIT_YES, "NO": EXIT_NO, "INCONCLUSIVE": EXIT_INCONCLUSIVE}[verdict.status]

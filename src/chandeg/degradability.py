@@ -43,7 +43,6 @@ from .channel import (
     is_ppt,
     is_tp,
     superop_to_choi,
-    to_pairs,
 )
 from .linalg import (  # noqa: F401  (kernel_basis: see above)
     DEFAULT_TOL,
@@ -419,11 +418,9 @@ def ecd_screen(c: Channel, tol: Tolerance = DEFAULT_TOL) -> dict:
     }
 
 
-def verdict_to_dict(v: Verdict, *, arrays: bool = False) -> dict:
-    """The verdict's JSON document, its certificate and witness matrices as
-    to_pairs lists, or with ``arrays`` as the arrays themselves, which
-    json_pieces renders as the same pairs a row at a time."""
-    matrix = (lambda A: A) if arrays else to_pairs
+def verdict_to_dict(v: Verdict) -> dict:
+    """The verdict's document for channel.json_pieces, which writes its
+    certificate and witness matrices as to_pairs lists a row at a time."""
     doc = {
         "schema_version": SCHEMA_VERSION,
         "status": v.status,
@@ -438,8 +435,8 @@ def verdict_to_dict(v: Verdict, *, arrays: bool = False) -> dict:
         doc["certificate"] = {
             "d_in": v.certificate.d_in,
             "d_out": v.certificate.d_out,
-            "matrix": matrix(v.certificate.matrix),
+            "matrix": v.certificate.matrix,
         }
     if v.witness is not None:
-        doc["witness"] = {"margin": v.witness.margin, "choi": matrix(v.witness.choi)}
+        doc["witness"] = {"margin": v.witness.margin, "choi": v.witness.choi}
     return doc

@@ -1,8 +1,10 @@
 import gc
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -314,6 +316,48 @@ def test_output_flag_writes_file(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["status"] == "YES"
+
+
+def test_failed_write_leaves_the_earlier_output_file(tmp_path, monkeypatch, capsys):
+    def half_then_fail(doc):
+        yield "{\n"
+        raise MemoryError
+
+    target = tmp_path / "verdict.json"
+    target.write_text("earlier\n")
+    monkeypatch.setattr("chandeg.cli.json_pieces", half_then_fail)
+    code, _, err = run_cli(
+        ["decide", "--channel", "td:d=2,t=0", "--mode", "antidegradable",
+         "--output", str(target)],
+        capsys,
+    )
+    assert code == 3 and "too large" in err
+    assert target.read_text() == "earlier\n"
+    assert os.listdir(tmp_path) == ["verdict.json"]
+
+
+def test_output_through_a_symlink_writes_its_target(tmp_path, capsys):
+    target, link = tmp_path / "verdict.json", tmp_path / "link.json"
+    target.write_text("earlier\n")
+    link.symlink_to(target)
+    argv = ["decide", "--channel", "td:d=2,t=0", "--mode", "antidegradable"]
+    assert run_cli(argv + ["--output", str(link)], capsys)[0] == 0
+    assert link.is_symlink()
+    assert target.read_text() == run_cli(argv, capsys)[1]
+
+
+def test_output_to_a_pipe_writes_into_the_pipe(tmp_path, capsys):
+    # A pipe or device, such as /dev/stdout, is written in place, not replaced.
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(pipe.read_text()), daemon=True)
+    reader.start()
+    argv = ["decide", "--channel", "td:d=2,t=0", "--mode", "antidegradable"]
+    assert run_cli(argv + ["--output", str(pipe)], capsys)[0] == 0
+    reader.join(timeout=10)
+    assert stat.S_ISFIFO(os.stat(pipe).st_mode)
+    assert got == [run_cli(argv, capsys)[1]]
 
 
 @pytest.mark.parametrize("spec", ["td:d=4,t=-0.14", "td:d=2,t=-0.7"])

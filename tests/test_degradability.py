@@ -16,6 +16,7 @@ from chandeg.channel import (
     complement,
     from_pairs,
     is_cp,
+    json_pieces,
     superop_to_choi,
     to_pairs,
 )
@@ -339,7 +340,8 @@ def test_seed_restarts_and_search_are_ignored():
     q = Query(td_channel(TDParams(3, -0.45)), Mode.ANTIDEGRADABLE)
     plain = verdict_to_dict(decide(q))
     assert plain["status"] == "YES" and not plain["unique"]
-    assert verdict_to_dict(decide(q, SearchConfig(seed=5, restarts=1), search=True)) == plain
+    other = verdict_to_dict(decide(q, SearchConfig(seed=5, restarts=1), search=True))
+    assert "".join(json_pieces(other)) == "".join(json_pieces(plain))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -538,7 +540,7 @@ def test_verdict_serialization_round_trip():
     doc = verdict_to_dict(v)
     assert doc["schema_version"] == 1
     assert doc["status"] == "YES"
-    blob = json.loads(json.dumps(doc))
+    blob = json.loads("".join(json_pieces(doc)))
     cert = blob["certificate"]
     D = SuperOp(cert["d_in"], cert["d_out"], from_pairs(cert["matrix"]))
     npt.assert_allclose(D.matrix, v.certificate.matrix, atol=1e-15)
