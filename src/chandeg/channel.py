@@ -368,6 +368,6 @@ def channel_from_dict(doc: dict) -> Channel:
     try:
         d_in, d_out = int(doc["d_in"]), int(doc["d_out"])
         ops = tuple(from_pairs(K) for K in doc["kraus"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed channel document: {exc}") from exc
     return Channel(KrausSet(d_in, d_out, ops), label=str(doc.get("label", "")))

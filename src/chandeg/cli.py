@@ -22,22 +22,20 @@ from .channel import (
     Channel,
     SuperOp,
     channel_from_dict,
-    complement,
     from_pairs,
     json_pieces,
-    superop_to_choi,
 )
 from .degradability import (
     Mode,
     Query,
     SearchConfig,
-    candidate_map,
+    candidate_spectrum,
     decide,
     ecd_screen,
     verdict_to_dict,
     verify_certificate,
 )
-from .linalg import Tolerance, hermitian_eigs
+from .linalg import Tolerance
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -45,7 +43,7 @@ EXIT_INCONCLUSIVE = 2
 EXIT_INPUT_ERROR = 3
 
 
-class CliError(ValueError):
+class CliError(Exception):
     pass
 
 
@@ -97,8 +95,6 @@ def parse_channel(spec: str) -> Channel:
         if kind == "file":
             with open(body) as fh:
                 return channel_from_dict(json.load(fh))
-    except CliError:
-        raise
     except (OSError, ValueError, KeyError) as exc:
         raise CliError(f"cannot build channel from {spec!r}: {exc}") from exc
     raise CliError(f"unknown channel kind {kind!r}")
@@ -161,10 +157,7 @@ def cmd_sweep_eigs(args) -> int:
     header = None
     # TDParams checks every grid point against the CP range before any work.
     for params in [zoo.TDParams(d, float(t)) for t in grid]:
-        chan = zoo.td_channel(params)
-        comp = complement(chan)
-        cand, _, _ = candidate_map(comp.superop, chan.superop, tol)
-        w, _ = hermitian_eigs(superop_to_choi(cand).matrix)
+        _, w, _ = candidate_spectrum(Query(zoo.td_channel(params), Mode.ANTIDEGRADABLE), tol)
         if header is None:
             header = "t," + ",".join(f"lambda_{i+1}" for i in range(len(w)))
         rows.append(",".join([_fmt(params.t)] + [_fmt(float(x)) for x in w]))
@@ -219,9 +212,7 @@ def cmd_verify(args) -> int:
             raise CliError(f"verdict {doc['status']} carries no certificate")
         body = doc["certificate"] if "certificate" in doc else doc
         cert = SuperOp(int(body["d_in"]), int(body["d_out"]), from_pairs(body["matrix"]))
-    except CliError:
-        raise
-    except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise CliError(f"unreadable certificate: {exc}") from exc
     ok, report = verify_certificate(chan, mode, cert, tol)
     report["schema_version"] = SCHEMA_VERSION

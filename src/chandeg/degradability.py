@@ -28,8 +28,11 @@ from functools import cached_property
 
 import numpy as np
 
-# perfbench/tracer.py patches minimize and kernel_basis in this module, so
-# they stay importable here although the engine does not call them.
+# Kept only because perfbench/ names them; nothing in src/ uses them:
+# minimize, kernel_basis and candidate_map (patched here by tracer.PATCHES),
+# KernelFamily.basis, KernelFamily.kernel and _Directions (tracer.stack_bytes),
+# and SearchConfig.seed, SearchConfig.restarts and decide(search=)
+# (workloads.build_search).  The change that frees them deletes this list.
 from .capacity import minimize  # noqa: F401
 from .channel import (
     SCHEMA_VERSION,
@@ -257,8 +260,8 @@ def kernel_search(family: KernelFamily, cfg: SearchConfig):
         gap = float(w[:neg] @ w[:neg])  # ||R - P||^2
         N = (v[:, :neg] * w[:neg]) @ v[:, :neg].conj().T  # R - P
         # Choi-sized arrays are freed once spent, to bound peak memory: v
-        # here, Z, N and LN below, and in decide the system (known, target)
-        # and the candidate's Choi matrix and eigenvectors.
+        # here, Z, N and LN below, and in candidate_spectrum the system
+        # (known, target) and the candidate's Choi matrix and eigenvectors.
         del v
         LN = family.project_directions(N)  # R - X
         R -= LN  # X
@@ -308,6 +311,16 @@ def _build_system(q: Query):
     return known, target
 
 
+def candidate_spectrum(q: Query, tol: Tolerance = DEFAULT_TOL):
+    """(family, ascending Choi eigenvalues of its base D0, psd_floor of that
+    Choi matrix) for a query's system: the pseudoinverse candidate's
+    spectrum, which ``decide`` and ``chandeg sweep-eigs`` report.  The Choi
+    matrix and its eigenvectors are freed before it returns."""
+    family = kernel_family(*_build_system(q), tol)
+    R0 = superop_to_choi(family.base).matrix
+    return family, hermitian_eigs(R0)[0], psd_floor(R0, tol)
+
+
 def decide(q: Query, cfg: SearchConfig | None = None, search: bool = False) -> Verdict:
     """Tri-state decision for one degradability mode.
 
@@ -320,12 +333,9 @@ def decide(q: Query, cfg: SearchConfig | None = None, search: bool = False) -> V
     stays accepted because existing callers pass it.
     """
     cfg = cfg if cfg is not None else SearchConfig()
-    family = kernel_family(*_build_system(q), cfg.tol)
+    family, eigs, floor = candidate_spectrum(q, cfg.tol)
     unique = family.kernel_dim == 0
-    R0 = superop_to_choi(family.base).matrix
-    eigs = hermitian_eigs(R0)[0]
-    cp = bool(eigs[0] >= psd_floor(R0, cfg.tol))
-    del R0
+    cp = bool(eigs[0] >= floor)
 
     found = None
     if not family.consistent:

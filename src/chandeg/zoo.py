@@ -259,33 +259,6 @@ def antidegrading_candidate_matrix(t: float) -> np.ndarray:
     return A
 
 
-def antidegrading_certificate_matrix() -> np.ndarray:
-    """A completely positive antidegrading map for the qubit TD channel at
-    t = -2/3, found by searching the solution family of the composition
-    equation (the pseudoinverse candidate fails CP there)."""
-    r = 1.0 / np.sqrt(2.0)
-    A = np.zeros((16, 4))
-    A[0, 0] = 1.0
-    A[1, 1] = -r
-    A[3, 1] = -r
-    A[4, 2] = -r
-    A[5, 0] = 0.5
-    A[5, 3] = 0.5
-    A[6, 1] = -r
-    A[7, 0] = -0.5
-    A[7, 3] = 0.5
-    A[9, 2] = -r
-    A[10, 3] = 1.0
-    A[11, 2] = r
-    A[12, 2] = -r
-    A[13, 0] = -0.5
-    A[13, 3] = 0.5
-    A[14, 1] = r
-    A[15, 0] = 0.5
-    A[15, 3] = 0.5
-    return A
-
-
 def candidate_choi_eigenvalues(t: float):
     """The three distinct Choi eigenvalues of the qubit antidegrading
     candidate, as closed forms (lam1, lam2, lam3).

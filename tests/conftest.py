@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -32,6 +35,14 @@ def is_unital(c):
     """True when the channel maps I/d_in to I/d_out, within the default residual_tol."""
     out = apply(c.superop, np.eye(c.d_in) / c.d_in)
     return bool(np.linalg.norm(out - np.eye(c.d_out) / c.d_out) <= DEFAULT_TOL.residual_tol)
+
+
+def fixture_certificate_matrix():
+    """The 16 x 4 superoperator of the stored antidegrading certificate for
+    the qubit TD channel at t = -2/3, decoded with plain complex(re, im)."""
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    doc = json.loads((fixtures / "antidegrading_certificate_qubit_td.json").read_text())
+    return np.array([[complex(re, im) for re, im in row] for row in doc["matrix"]])
 
 
 @pytest.fixture

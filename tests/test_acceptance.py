@@ -31,14 +31,13 @@ from chandeg.zoo import (
     DepolParams,
     TDParams,
     antidegrading_candidate_matrix,
-    antidegrading_certificate_matrix,
     candidate_choi_eigenvalues,
     depolarizing,
     td_channel,
 )
 from chandeg.channel import SuperOp
 
-from conftest import random_channel, random_state
+from conftest import fixture_certificate_matrix, random_channel, random_state
 
 
 def _antidegrading_candidate(t):
@@ -75,7 +74,7 @@ def test_shipped_certificate_properties():
     t = -2.0 / 3.0
     chan = td_channel(TDParams(2, t))
     comp = complement(chan)
-    cert = SuperOp(4, 2, antidegrading_certificate_matrix())
+    cert = SuperOp(4, 2, fixture_certificate_matrix())
     resid = np.linalg.norm(comp.superop.matrix @ cert.matrix - chan.superop.matrix)
     assert resid <= 1e-9
     w = np.linalg.eigvalsh(superop_to_choi(cert).matrix)

@@ -11,8 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from chandeg.channel import channel_to_dict
 from chandeg.cli import build_parser, main, parse_channel
 from chandeg.linalg import DEFAULT_TOL
+from chandeg.zoo import TDParams, td_channel
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "fixtures" / "antidegrading_certificate_qubit_td.json"
@@ -214,6 +216,47 @@ def test_verify_of_a_verdict_without_certificate(tmp_path, capsys):
     code, out, err = run_cli(["verify", "--certificate", str(verdict)], capsys)
     assert code == 3 and out == ""
     assert err == "error: verdict NO carries no certificate\n"
+
+
+def _json_with(doc, key, literal):
+    """doc as JSON text with the value of key written as the literal."""
+    return json.dumps({**doc, key: "@"}).replace('"@"', literal)
+
+
+VERIFY = ["verify", "--certificate"]
+CERT = json.loads(FIXTURE.read_text())
+CHANNEL = channel_to_dict(td_channel(TDParams(2, 0.2)))
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (VERIFY, _json_with(CERT, "channel", "123")),
+        (VERIFY, _json_with(CERT, "d_in", "Infinity")),
+        (VERIFY, FIXTURE.read_text().replace("1.0", "1" + "0" * 399, 1)),
+        (["decide", "--mode", "degradable", "--channel"], _json_with(CHANNEL, "d_in", "1e400")),
+    ],
+    ids=["channel-not-a-string", "d_in-infinite", "entry-400-digits", "channel-d_in-1e400"],
+)
+def test_malformed_stored_input_is_an_input_error(tmp_path, capsys, argv, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    arg = f"file:{path}" if argv[0] == "decide" else str(path)
+    code, out, err = run_cli(argv + [arg], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_decide_reads_a_channel_file(tmp_path, capsys):
+    path = tmp_path / "ch.json"
+    path.write_text(json.dumps(channel_to_dict(td_channel(TDParams(3, -0.3)))))
+    argv = ["decide", "--mode", "antidegradable", "--channel"]
+    code, out, _ = run_cli(argv + ["td:d=3,t=-0.3"], capsys)
+    code_file, out_file, _ = run_cli(argv + [f"file:{path}"], capsys)
+    assert code_file == code == 0
+    spec = f'"channel": {json.dumps(f"file:{path}")}'
+    assert out_file.count(spec) == 1
+    assert out_file.replace(spec, '"channel": "td:d=3,t=-0.3"') == out
 
 
 @pytest.mark.parametrize(

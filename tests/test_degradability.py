@@ -39,13 +39,12 @@ from chandeg.zoo import (
     DepolParams,
     TDParams,
     antidegrading_candidate_matrix,
-    antidegrading_certificate_matrix,
     depolarizing,
     td_channel,
     td_complement_qubit,
 )
 
-from conftest import haar_isometry, random_channel, random_state
+from conftest import fixture_certificate_matrix, haar_isometry, random_channel, random_state
 
 
 def check_witness(channel, mode, witness):
@@ -498,7 +497,7 @@ def test_conjugate_modes_run(rng):
 
 def test_certificate_matrix_verifies():
     chan = td_channel(TDParams(2, -2 / 3))
-    cert = SuperOp(4, 2, antidegrading_certificate_matrix())
+    cert = SuperOp(4, 2, fixture_certificate_matrix())
     ok, report = verify_certificate(chan, Mode.ANTIDEGRADABLE, cert)
     assert ok
     assert report["residual"] < 1e-9
@@ -507,7 +506,7 @@ def test_certificate_matrix_verifies():
 
 
 def test_certificate_choi_has_doubled_eigenvalue():
-    R = superop_to_choi(SuperOp(4, 2, antidegrading_certificate_matrix())).matrix
+    R = superop_to_choi(SuperOp(4, 2, fixture_certificate_matrix())).matrix
     w = np.sort(np.linalg.eigvalsh(R))
     npt.assert_allclose(w, [0, 0, 0, 0, 0, 0, 2, 2], atol=1e-12)
 
@@ -520,7 +519,7 @@ def test_verify_certificate_rejects_wrong_shape():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
 def test_verify_certificate_rejects_non_finite_entries(bad):
-    cert = antidegrading_certificate_matrix().astype(complex)
+    cert = fixture_certificate_matrix()
     cert[0, 0] = bad
     chan = td_channel(TDParams(2, -2 / 3))
     ok, report = verify_certificate(chan, Mode.ANTIDEGRADABLE, SuperOp(4, 2, cert))

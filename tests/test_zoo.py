@@ -10,7 +10,6 @@ from chandeg.zoo import (
     TDParams,
     Unsupported,
     antidegrading_candidate_matrix,
-    antidegrading_certificate_matrix,
     candidate_choi_eigenvalues,
     depolarizing,
     known_antidegradable_range,
@@ -20,7 +19,7 @@ from chandeg.zoo import (
     td_complement_qubit,
 )
 
-from conftest import is_unital, random_state
+from conftest import fixture_certificate_matrix, is_unital, random_state
 
 
 def test_td_params_range():
@@ -179,5 +178,5 @@ def test_closed_form_candidate_sanity():
     assert A.shape == (16, 4)
     lam1, lam2, lam3 = candidate_choi_eigenvalues(0.0)
     npt.assert_allclose([lam1, lam2, lam3], [0.5, 0.5, 0.5], atol=1e-12)
-    cert = antidegrading_certificate_matrix()
+    cert = fixture_certificate_matrix()
     assert cert.shape == (16, 4)
