@@ -4,7 +4,6 @@ from .linalg import Tolerance, DEFAULT_TOL
 from .channel import (
     Channel,
     ChoiMatrix,
-    DensityMatrix,
     KrausSet,
     SuperOp,
     apply,
@@ -27,7 +26,6 @@ __all__ = [
     "DEFAULT_TOL",
     "Channel",
     "ChoiMatrix",
-    "DensityMatrix",
     "KrausSet",
     "SuperOp",
     "apply",

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Channel, SuperOp, apply, apply_adjoint, complement
-from .linalg import DEFAULT_TOL, Tolerance, psd_floor
+from .channel import Channel, apply, apply_adjoint, complement
+from .linalg import psd_floor
 from .zoo import in_range, known_antidegradable_range, require_in_range, td_cp_range
 
 
@@ -43,18 +43,28 @@ class OptimizerConfig:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
 
 
-def von_neumann_entropy(rho, base: float = 2.0, tol: Tolerance = DEFAULT_TOL) -> float:
-    """H(rho) = -sum lambda_i log_base lambda_i, with 0 log 0 = 0.
-
-    Eigenvalues at or below ``-psd_floor`` are clipped to zero (no
-    renormalization).
-    """
+def _ln(base: float) -> float:
+    """ln(base) for an entropy base, which must exceed 1."""
     if base <= 1.0:
         raise ValueError(f"entropy base must exceed 1, got {base}")
-    m = rho.matrix if hasattr(rho, "matrix") else np.asarray(rho, dtype=complex)
-    w = np.linalg.eigvalsh((m + m.conj().T) / 2)
-    w = w[w > -psd_floor(m, tol)]
-    return float(-np.sum(w * np.log(w)) / np.log(base))
+    return np.log(base)
+
+
+def _entropy_and_log(m):
+    """H(m) in nats and log m, from one eigendecomposition of m's Hermitian
+    part.  Eigenvalues at or below the cut ``-psd_floor(m)`` count as zero:
+    they are left out of the entropy (0 log 0 = 0, no renormalization) and
+    floored at the cut in the log."""
+    w, v = np.linalg.eigh((m + m.conj().T) / 2)
+    cut = -psd_floor(m)
+    log_w = np.log(np.maximum(w, cut))
+    kept = w > cut
+    return -float(np.sum(w[kept] * log_w[kept])), (v * log_w) @ v.conj().T
+
+
+def von_neumann_entropy(rho, base: float = 2.0) -> float:
+    """H(rho) = -sum lambda_i log_base lambda_i, with 0 log 0 = 0."""
+    return float(_entropy_and_log(np.asarray(rho, dtype=complex))[0] / _ln(base))
 
 
 def coherent_information(c: Channel, rho, base: float = 2.0) -> float:
@@ -62,13 +72,7 @@ def coherent_information(c: Channel, rho, base: float = 2.0) -> float:
 
     Independent of the complement representative (only spectra enter).
     """
-    return _coherent_information(c, complement(c), rho, base)
-
-
-def _coherent_information(c: Channel, comp: Channel, rho, base: float) -> float:
-    out = apply(c.superop, rho)
-    env = apply(comp.superop, rho)
-    return von_neumann_entropy(out, base) - von_neumann_entropy(env, base)
+    return float(_coherent_information_gradient(c, complement(c), rho, base)[0])
 
 
 def covariant_capacity(c: Channel, base: float = 2.0) -> CapacityResult:
@@ -178,21 +182,6 @@ def minimize(fun, x0, max_iters: int) -> MinimizeResult:
     return MinimizeResult(x=x, fun=float(value), nfev=nfev, nit=nit)
 
 
-def _entropy_and_adjoint_log(S: SuperOp, rho, tol: Tolerance = DEFAULT_TOL):
-    """H(S(rho)) in nats and S^dag(log S(rho)), from one eigendecomposition.
-
-    Eigenvalues at or below the cut ``-psd_floor`` of ``von_neumann_entropy``
-    are left out of the entropy and floored at the cut in the log.
-    """
-    out = apply(S, rho)
-    w, v = np.linalg.eigh((out + out.conj().T) / 2)
-    cut = -psd_floor(out, tol)
-    log_w = np.log(np.maximum(w, cut))
-    kept = w > cut
-    adjoint_log = apply_adjoint(S, (v * log_w) @ v.conj().T)
-    return -float(np.sum(w[kept] * log_w[kept])), adjoint_log
-
-
 def _coherent_information_gradient(c: Channel, comp: Channel, rho, base: float):
     """I_c(rho) and its gradient G, the Hermitian matrix with dI_c = Tr(G drho):
 
@@ -201,9 +190,10 @@ def _coherent_information_gradient(c: Channel, comp: Channel, rho, base: float):
     The identity terms of the entropies' gradients cancel, since both
     adjoints are unital.
     """
-    h, adj = _entropy_and_adjoint_log(c.superop, rho)
-    h_env, adj_env = _entropy_and_adjoint_log(comp.superop, rho)
-    ln_b = np.log(base)
+    ln_b = _ln(base)
+    h, log_out = _entropy_and_log(apply(c.superop, rho))
+    h_env, log_env = _entropy_and_log(apply(comp.superop, rho))
+    adj, adj_env = apply_adjoint(c.superop, log_out), apply_adjoint(comp.superop, log_env)
     return (h - h_env) / ln_b, (adj_env - adj) / ln_b
 
 
@@ -248,7 +238,7 @@ def one_shot_optimize(c: Channel, cfg: OptimizerConfig, base: float = 2.0) -> Ca
         if -res.fun > best_val:
             best_val, best_state = -res.fun, res.x
     return CapacityResult(
-        value=float(_coherent_information(c, comp, best_state, base)),
+        value=best_val,
         base=base,
         method="optimized",
         status="NUMERICAL_EVIDENCE",

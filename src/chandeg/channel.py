@@ -44,31 +44,11 @@ class NotTP(ValueError):
     """Map is not trace-preserving where it was required to be."""
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """A state: Hermitian, PSD, unit-trace matrix."""
-
-    matrix: np.ndarray
-    tol: Tolerance = field(default=DEFAULT_TOL, repr=False)
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"state must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("state contains non-finite entries")
-        if np.linalg.norm(m - m.conj().T) > self.tol.residual_tol:
-            raise ValueError("state is not Hermitian within tolerance")
-        w = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        if w[0] < psd_floor(m, self.tol):
-            raise ValueError(f"state has negative eigenvalue {w[0]:.3e}")
-        if abs(np.trace(m) - 1.0) > self.tol.residual_tol:
-            raise ValueError(f"state trace {np.trace(m):.6g} != 1")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
+def _check_dims(d_in, d_out):
+    """Reject dimensions that are not integers of at least 1."""
+    for d in (d_in, d_out):
+        if not isinstance(d, (int, np.integer)) or d < 1:
+            raise ValueError(f"dimensions must be integers >= 1, got ({d_in!r}, {d_out!r})")
 
 
 @dataclass(frozen=True)
@@ -80,6 +60,7 @@ class KrausSet:
     operators: tuple
 
     def __post_init__(self):
+        _check_dims(self.d_in, self.d_out)
         ops = tuple(np.asarray(K, dtype=complex) for K in self.operators)
         if not ops:
             raise ValueError("KrausSet requires at least one operator")
@@ -90,9 +71,9 @@ class KrausSet:
                 )
         object.__setattr__(self, "operators", ops)
 
-    def is_trace_preserving(self, tol: Tolerance = DEFAULT_TOL):
+    def is_trace_preserving(self):
         acc = sum(K.conj().T @ K for K in self.operators)
-        return np.linalg.norm(acc - np.eye(self.d_in)) <= tol.residual_tol
+        return np.linalg.norm(acc - np.eye(self.d_in)) <= DEFAULT_TOL.residual_tol
 
 
 @dataclass(frozen=True)
@@ -104,6 +85,7 @@ class ChoiMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
+        _check_dims(self.d_in, self.d_out)
         m = np.asarray(self.matrix, dtype=complex)
         n = self.d_in * self.d_out
         if m.shape != (n, n):
@@ -120,6 +102,7 @@ class SuperOp:
     matrix: np.ndarray
 
     def __post_init__(self):
+        _check_dims(self.d_in, self.d_out)
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (self.d_in**2, self.d_out**2):
             raise DimensionMismatch(
@@ -142,7 +125,7 @@ def kraus_to_choi(k: KrausSet) -> ChoiMatrix:
     return ChoiMatrix(k.d_in, k.d_out, R)
 
 
-def choi_to_kraus(R: ChoiMatrix, tol: Tolerance = DEFAULT_TOL) -> KrausSet:
+def choi_to_kraus(R: ChoiMatrix) -> KrausSet:
     """Eigen-Kraus extraction from a PSD Choi matrix.
 
     Eigenvalues are taken in descending order and each eigenvector's phase is
@@ -150,7 +133,7 @@ def choi_to_kraus(R: ChoiMatrix, tol: Tolerance = DEFAULT_TOL) -> KrausSet:
     is reproducible.  Raises NotCP on a significantly negative eigenvalue.
     """
     w, v = hermitian_eigs(R.matrix)
-    floor = psd_floor(R.matrix, tol)
+    floor = psd_floor(R.matrix)
     if w[0] < floor:
         raise NotCP(f"Choi matrix has negative eigenvalue {w[0]:.3e}")
     ops = []
@@ -183,7 +166,7 @@ def superop_to_choi(M: SuperOp) -> ChoiMatrix:
 
 def apply(M: SuperOp, rho) -> np.ndarray:
     """Apply a channel in superoperator form: row(rho) @ M, reshaped to d_out x d_out."""
-    r = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    r = np.asarray(rho, dtype=complex)
     if r.shape != (M.d_in, M.d_in):
         raise DimensionMismatch(f"state shape {r.shape} != ({M.d_in}, {M.d_in})")
     return (row_flatten(r) @ M.matrix).reshape(M.d_out, M.d_out)
@@ -200,7 +183,7 @@ def apply_adjoint(M: SuperOp, X) -> np.ndarray:
 
 def apply_choi(R: ChoiMatrix, rho) -> np.ndarray:
     """Apply a channel via its Choi matrix: Tr_A[(rho^T (x) I_B) R]."""
-    r = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    r = np.asarray(rho, dtype=complex)
     if r.shape != (R.d_in, R.d_in):
         raise DimensionMismatch(f"state shape {r.shape} != ({R.d_in}, {R.d_in})")
     R4 = R.matrix.reshape(R.d_in, R.d_out, R.d_in, R.d_out)
@@ -270,7 +253,7 @@ class Channel:
         return apply(self.superop, rho)
 
 
-def complement(c) -> Channel:
+def complement(c: Channel) -> Channel:
     """Complementary channel: the map to the environment of the dilation.
 
     For Kraus operators K_e the complement has entries
@@ -278,12 +261,12 @@ def complement(c) -> Channel:
     ``(Khat_j)_{e,i} = (K_e)_{j,i}``.  Unique up to an isometry on the
     environment; the representative follows the stored Kraus order.
     """
-    k = c.kraus if isinstance(c, Channel) else c
+    k = c.kraus
     if not k.is_trace_preserving():
         raise NotTP("complement requires a trace-preserving Kraus set")
     stack = np.array(k.operators)  # (d_E, d_out, d_in)
     ops = tuple(stack[:, j, :].copy() for j in range(k.d_out))
-    name = f"complement({c.label})" if isinstance(c, Channel) and c.label else "complement"
+    name = f"complement({c.label})" if c.label else "complement"
     return Channel(KrausSet(k.d_in, stack.shape[0], ops), label=name)
 
 
@@ -366,7 +349,7 @@ def channel_to_dict(c: Channel) -> dict:
 
 def channel_from_dict(doc: dict) -> Channel:
     try:
-        d_in, d_out = int(doc["d_in"]), int(doc["d_out"])
+        d_in, d_out = doc["d_in"], doc["d_out"]
         ops = tuple(from_pairs(K) for K in doc["kraus"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed channel document: {exc}") from exc

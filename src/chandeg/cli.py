@@ -137,22 +137,21 @@ def cmd_decide(args) -> int:
     return {"YES": EXIT_YES, "NO": EXIT_NO, "INCONCLUSIVE": EXIT_INCONCLUSIVE}[verdict.status]
 
 
-def _grid(args, default_start, default_stop, default_points):
+def _grid(args, default_start, default_stop):
     start = default_start if args.t_start is None else args.t_start
     stop = default_stop if args.t_stop is None else args.t_stop
-    points = default_points if args.t_points is None else args.t_points
     if not (np.isfinite(start) and np.isfinite(stop)):
         raise CliError("t_start and t_stop must be finite")
-    if points < 2 or stop <= start:
+    if args.t_points < 2 or stop <= start:
         raise CliError("need t_stop > t_start and at least 2 grid points")
-    return np.linspace(start, stop, points)
+    return np.linspace(start, stop, args.t_points)
 
 
 def cmd_sweep_eigs(args) -> int:
     tol = _tolerance(args)
     d = args.d
     lo, hi = zoo.td_cp_range(d)
-    grid = _grid(args, lo + 1e-3, hi, 100)
+    grid = _grid(args, lo + 1e-3, hi)
     rows = []
     header = None
     # TDParams checks every grid point against the CP range before any work.
@@ -168,7 +167,7 @@ def cmd_sweep_eigs(args) -> int:
 def cmd_capacity(args) -> int:
     d = args.d
     lo, hi, _ = zoo.known_antidegradable_range(d)
-    grid = _grid(args, lo, hi, 100)
+    grid = _grid(args, lo, hi)
     rows = ["t,Q,base,method,status,cloner"]
     for t in grid:
         res = cap.td_complement_capacity(d, float(t))
@@ -211,7 +210,7 @@ def cmd_verify(args) -> int:
         if "status" in doc and "certificate" not in doc:
             raise CliError(f"verdict {doc['status']} carries no certificate")
         body = doc["certificate"] if "certificate" in doc else doc
-        cert = SuperOp(int(body["d_in"]), int(body["d_out"]), from_pairs(body["matrix"]))
+        cert = SuperOp(body["d_in"], body["d_out"], from_pairs(body["matrix"]))
     except (OSError, KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise CliError(f"unreadable certificate: {exc}") from exc
     ok, report = verify_certificate(chan, mode, cert, tol)
@@ -248,7 +247,7 @@ def build_parser():
     p.add_argument("--d", type=int, required=True, choices=[2, 3])
     p.add_argument("--t-start", type=float, default=None)
     p.add_argument("--t-stop", type=float, default=None)
-    p.add_argument("--t-points", type=int, default=None)
+    p.add_argument("--t-points", type=int, default=100)
     common(p, "rank")
     p.set_defaults(func=cmd_sweep_eigs)
 
@@ -256,7 +255,7 @@ def build_parser():
     p.add_argument("--d", type=int, required=True, choices=[2, 3])
     p.add_argument("--t-start", type=float, default=None)
     p.add_argument("--t-stop", type=float, default=None)
-    p.add_argument("--t-points", type=int, default=None)
+    p.add_argument("--t-points", type=int, default=100)
     common(p)
     p.set_defaults(func=cmd_capacity)
 

@@ -290,7 +290,6 @@ def kernel_search(family: KernelFamily, cfg: SearchConfig):
         X_prev += R
         R, X_prev = X_prev, R
         t = t_next
-    return None
 
 
 def _build_system(q: Query):

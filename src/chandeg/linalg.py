@@ -1,8 +1,8 @@
 """Dense linear-algebra kernel: flattening maps, pseudoinverse, rank, kernels.
 
 All matrix flattening in this package is row-major.  Every tolerance-sensitive
-operation takes an explicit :class:`Tolerance` so that rank decisions, PSD
-checks and residual tests stay consistent across modules.
+operation reads a :class:`Tolerance`, passed in or ``DEFAULT_TOL``, so that
+rank decisions, PSD checks and residual tests stay consistent across modules.
 """
 
 from dataclasses import dataclass

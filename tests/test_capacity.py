@@ -34,6 +34,21 @@ def test_entropy_examples():
         von_neumann_entropy(np.eye(2) / 2, base=1.0)
 
 
+@pytest.mark.parametrize(
+    "quantity",
+    [
+        lambda c, base: coherent_information(c, np.eye(2) / 2, base),
+        lambda c, base: covariant_capacity(c, base),
+        lambda c, base: one_shot_optimize(c, OptimizerConfig(seed=0, restarts=1), base),
+    ],
+    ids=["coherent_information", "covariant_capacity", "one_shot_optimize"],
+)
+@pytest.mark.parametrize("base", [1.0, 0.5])
+def test_channel_entropies_need_base_above_one(quantity, base):
+    with pytest.raises(ValueError, match="base must exceed 1"):
+        quantity(td_channel(TDParams(2, 0.1)), base)
+
+
 def test_entropy_unitary_invariance(rng):
     rho = random_state(rng, 3)
     Q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from chandeg.channel import (
     Channel,
     ChoiMatrix,
-    DensityMatrix,
     DimensionMismatch,
     KrausSet,
     NotCP,
@@ -124,6 +123,18 @@ def test_apply_dimension_mismatch():
         apply_choi(c.choi, np.eye(3) / 3)
 
 
+@pytest.mark.parametrize("dims", [(0, 2), (2, -4), (4.7, 2), (2, 2.0)])
+def test_dimensions_must_be_positive_integers(dims):
+    d_in, d_out = dims
+    for build in (
+        lambda: KrausSet(d_in, d_out, (np.zeros((2, 2)),)),
+        lambda: ChoiMatrix(d_in, d_out, np.zeros((4, 4))),
+        lambda: SuperOp(d_in, d_out, np.zeros((4, 4))),
+    ):
+        with pytest.raises(ValueError, match="dimensions must be integers >= 1"):
+            build()
+
+
 def test_compose(rng):
     M = random_channel(rng, 2, 3, 2)
     N = random_channel(rng, 3, 2, 3)
@@ -154,7 +165,7 @@ def test_complement_of_identity_is_trivial(rng):
 
 def test_complement_requires_tp():
     with pytest.raises(NotTP):
-        complement(KrausSet(2, 2, (0.5 * np.eye(2),)))
+        complement(Channel(KrausSet(2, 2, (0.5 * np.eye(2),))))
 
 
 def test_complement_entries_are_overlap_traces(rng):
@@ -220,17 +231,6 @@ def test_ppt():
     pt = partial_transpose(phi)
     assert np.isclose(np.linalg.eigvalsh(pt)[0], -1.0)
     assert np.linalg.matrix_rank(pt) == 4
-
-
-def test_density_matrix_validation(rng):
-    DensityMatrix(np.eye(2) / 2)
-    with pytest.raises(ValueError):
-        DensityMatrix(np.eye(2))  # trace 2
-    DensityMatrix(np.diag([1.0, 0.0]))  # pure, on the PSD boundary
-    with pytest.raises(ValueError, match="negative eigenvalue"):
-        DensityMatrix(np.diag([1.5, -0.5]))  # unit trace
-    with pytest.raises(ValueError):
-        DensityMatrix(np.array([[1.0, 1.0], [0.0, 0.0]]))  # not Hermitian
 
 
 def test_representation_coherence_cycle(rng):

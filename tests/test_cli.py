@@ -234,9 +234,16 @@ CHANNEL = channel_to_dict(td_channel(TDParams(2, 0.2)))
         (VERIFY, _json_with(CERT, "channel", "123")),
         (VERIFY, _json_with(CERT, "d_in", "Infinity")),
         (VERIFY, FIXTURE.read_text().replace("1.0", "1" + "0" * 399, 1)),
+        # -4 used to fail late in a reshape; 4.7 was truncated to 4 and verified.
+        (VERIFY, _json_with(CERT, "d_in", "-4")),
+        (VERIFY, _json_with(CERT, "d_in", "4.7")),
         (["decide", "--mode", "degradable", "--channel"], _json_with(CHANNEL, "d_in", "1e400")),
+        (["decide", "--mode", "degradable", "--channel"], _json_with(CHANNEL, "d_in", "2.7")),
     ],
-    ids=["channel-not-a-string", "d_in-infinite", "entry-400-digits", "channel-d_in-1e400"],
+    ids=[
+        "channel-not-a-string", "d_in-infinite", "entry-400-digits", "d_in-negative",
+        "d_in-fractional", "channel-d_in-1e400", "channel-d_in-fractional",
+    ],
 )
 def test_malformed_stored_input_is_an_input_error(tmp_path, capsys, argv, text):
     path = tmp_path / "bad.json"
@@ -244,7 +251,8 @@ def test_malformed_stored_input_is_an_input_error(tmp_path, capsys, argv, text):
     arg = f"file:{path}" if argv[0] == "decide" else str(path)
     code, out, err = run_cli(argv + [arg], capsys)
     assert code == 3 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    prefix = "error: unreadable certificate: " if argv == VERIFY else "error: "
+    assert err.startswith(prefix) and err.count("\n") == 1
 
 
 def test_decide_reads_a_channel_file(tmp_path, capsys):
