@@ -36,10 +36,6 @@ class DimensionMismatch(ValueError):
     """Operands have incompatible dimensions."""
 
 
-class NotCP(ValueError):
-    """Choi matrix has a significantly negative eigenvalue."""
-
-
 class NotTP(ValueError):
     """Map is not trace-preserving where it was required to be."""
 
@@ -123,30 +119,6 @@ def kraus_to_choi(k: KrausSet) -> ChoiMatrix:
         v = row_flatten(K.T)
         R += np.outer(v, v.conj())
     return ChoiMatrix(k.d_in, k.d_out, R)
-
-
-def choi_to_kraus(R: ChoiMatrix) -> KrausSet:
-    """Eigen-Kraus extraction from a PSD Choi matrix.
-
-    Eigenvalues are taken in descending order and each eigenvector's phase is
-    fixed (first non-negligible component real positive) so the representative
-    is reproducible.  Raises NotCP on a significantly negative eigenvalue.
-    """
-    w, v = hermitian_eigs(R.matrix)
-    floor = psd_floor(R.matrix)
-    if w[0] < floor:
-        raise NotCP(f"Choi matrix has negative eigenvalue {w[0]:.3e}")
-    ops = []
-    for lam, vec in zip(w[::-1], v.T[::-1]):
-        if lam <= -floor:
-            continue
-        idx = np.argmax(np.abs(vec) > 1e-8)
-        phase = vec[idx] / abs(vec[idx])
-        vec = vec / phase
-        ops.append(np.sqrt(lam) * vec.reshape(R.d_in, R.d_out).T)
-    if not ops:
-        ops.append(np.zeros((R.d_out, R.d_in), dtype=complex))
-    return KrausSet(R.d_in, R.d_out, tuple(ops))
 
 
 def choi_to_superop(R: ChoiMatrix) -> SuperOp:

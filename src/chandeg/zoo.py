@@ -1,9 +1,10 @@
 """Concrete channel families and their closed-form reference data.
 
 Contains the qudit transpose-depolarizing and depolarizing channels, the
-explicit qubit transpose-depolarizing complement, the asymmetric-cloner
-parametrization, the mixed-symmetry positive map, and closed-form expressions
-for the antidegrading candidate of the qubit transpose-depolarizing channel.
+qubit transpose-depolarizing complement (the complement of the closed-form
+transpose-depolarizing Kraus set), the asymmetric-cloner parametrization, the
+mixed-symmetry positive map, and closed-form expressions for the antidegrading
+candidate of the qubit transpose-depolarizing channel.
 """
 
 from collections import namedtuple
@@ -11,8 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import Channel, ChoiMatrix, KrausSet, SuperOp, choi_to_kraus, superop_to_choi
-from .linalg import row_flatten
+from .channel import Channel, KrausSet, complement
 
 
 class OutOfCPRange(ValueError):
@@ -103,8 +103,9 @@ def _td_kraus(d, t):
     dimension is d^2 for every t in the CP range; boundary values keep a zero
     operator so dimensions never jump.
     """
-    lam_sym = t + (1.0 - t) / d
-    lam_anti = -t + (1.0 - t) / d
+    # Factored so that the weight vanishing at a range end is exactly 0.0.
+    lam_sym = (1.0 + (d - 1) * t) / d
+    lam_anti = (1.0 - (d + 1) * t) / d
     ops = []
     for i in reversed(range(d)):
         for j in reversed(range(i, d)):
@@ -152,40 +153,10 @@ def depolarizing(params: DepolParams) -> Channel:
     return Channel(KrausSet(d, d, tuple(ops)), label=f"depol:d={d},s={s!r}")
 
 
-def qubit_td_complement_apply(rho, t):
-    """Environment output of the qubit transpose-depolarizing channel.
-
-    Explicit 4x4 matrix in the entries of rho, linearly extended (the
-    constant-looking diagonal entries carry a factor tr(rho)).
-    """
-    rho = np.asarray(rho, dtype=complex)
-    r00, r01, r10, r11 = rho[0, 0], rho[0, 1], rho[1, 0], rho[1, 1]
-    tr = r00 + r11
-    a = 1.0 + t
-    s = np.sqrt(max(1.0 - 3.0 * t, 0.0)) * np.sqrt(max(1.0 + t, 0.0))
-    q = 2.0 * np.sqrt(2.0)
-    return np.array(
-        [
-            [0.5 * a * r11, a / q * r10, 0.0, s / q * r10],
-            [a / q * r01, 0.25 * a * tr, a / q * r10, 0.25 * s * (r00 - r11)],
-            [0.0, a / q * r01, 0.5 * a * r00, -s / q * r01],
-            [s / q * r01, 0.25 * s * (r00 - r11), -s / q * r10, 0.25 * (1 - 3 * t) * tr],
-        ],
-        dtype=complex,
-    )
-
-
 def td_complement_qubit(t: float) -> Channel:
-    """The qubit transpose-depolarizing complement as a channel C^2 -> C^4."""
-    require_in_range("t", t, *td_cp_range(2), 2)
-    M = np.zeros((4, 16), dtype=complex)
-    for k in range(2):
-        for mu in range(2):
-            E = np.zeros((2, 2), dtype=complex)
-            E[k, mu] = 1.0
-            M[k * 2 + mu, :] = row_flatten(qubit_td_complement_apply(E, t))
-    sop = SuperOp(2, 4, M)
-    kraus = choi_to_kraus(superop_to_choi(sop))
+    """The qubit transpose-depolarizing complement as a channel C^2 -> C^4:
+    the complement of the closed-form Kraus set of td_channel(TDParams(2, t))."""
+    kraus = complement(td_channel(TDParams(2, t))).kraus
     return Channel(kraus, label=f"td-comp:t={t!r}")
 
 

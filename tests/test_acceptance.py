@@ -11,10 +11,8 @@ from chandeg.channel import (
     KrausSet,
     apply,
     apply_choi,
-    choi_to_kraus,
     choi_to_superop,
     complement,
-    kraus_to_choi,
     superop_to_choi,
 )
 from chandeg.capacity import covariant_capacity, td_complement_capacity
@@ -159,9 +157,6 @@ def test_representation_coherence(rng):
         c = random_channel(rng, d_in, d_out, int(rng.integers(2, 5)))
         rho = random_state(rng, d_in)
 
-        npt.assert_allclose(
-            kraus_to_choi(choi_to_kraus(c.choi)).matrix, c.choi.matrix, atol=1e-9
-        )
         npt.assert_allclose(
             choi_to_superop(superop_to_choi(c.superop)).matrix,
             c.superop.matrix,

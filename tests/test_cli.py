@@ -38,6 +38,20 @@ def test_parse_channel_specs():
             parse_channel(bad)
 
 
+@pytest.mark.parametrize(
+    "spec", ["td:d=2,t=0.2", "td:d=3,t=0.25", "depol:d=3,s=-0.1", "td-comp:t=-0.3", "cloner:p=0.5"]
+)
+def test_parse_channel_calls_no_eigensolver(spec, monkeypatch):
+    # Every zoo channel is built from a closed-form Kraus set, so its
+    # environment basis does not depend on the LAPACK build.
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolver called while building a channel")
+
+    for name in ("eigh", "eigvalsh", "eig"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    parse_channel(spec)
+
+
 def test_decide_exit_codes(capsys):
     code, out, _ = run_cli(
         ["decide", "--channel", "td:d=2,t=-1", "--mode", "degradable"], capsys

@@ -14,9 +14,9 @@ from chandeg.zoo import (
     depolarizing,
     known_antidegradable_range,
     mixed_symmetry_map,
-    qubit_td_complement_apply,
     td_channel,
     td_complement_qubit,
+    td_cp_range,
 )
 
 from conftest import fixture_certificate_matrix, is_unital, random_state
@@ -84,6 +84,41 @@ def test_td_equals_rotated_depolarizing(rng):
             npt.assert_allclose(sy @ dep(rho) @ sy, td(rho), atol=1e-12)
 
 
+def qubit_td_complement_apply(rho, t):
+    """Environment output of the qubit transpose-depolarizing channel.
+
+    Explicit 4x4 matrix in the entries of rho, linearly extended (the
+    constant-looking diagonal entries carry a factor tr(rho)).
+    """
+    rho = np.asarray(rho, dtype=complex)
+    r00, r01, r10, r11 = rho[0, 0], rho[0, 1], rho[1, 0], rho[1, 1]
+    tr = r00 + r11
+    a = 1.0 + t
+    s = np.sqrt(max(1.0 - 3.0 * t, 0.0)) * np.sqrt(max(1.0 + t, 0.0))
+    q = 2.0 * np.sqrt(2.0)
+    return np.array(
+        [
+            [0.5 * a * r11, a / q * r10, 0.0, s / q * r10],
+            [a / q * r01, 0.25 * a * tr, a / q * r10, 0.25 * s * (r00 - r11)],
+            [0.0, a / q * r01, 0.5 * a * r00, -s / q * r01],
+            [s / q * r01, 0.25 * s * (r00 - r11), -s / q * r10, 0.25 * (1 - 3 * t) * tr],
+        ],
+        dtype=complex,
+    )
+
+
+def test_td_kraus_vanishes_exactly_at_the_range_ends():
+    # d(d+1)/2 symmetric operators come first, then d(d-1)/2 antisymmetric
+    # ones; at t = lo the symmetric weight is 0, at t = hi the antisymmetric.
+    for d in range(2, 9):
+        n_sym = d * (d + 1) // 2
+        lo, hi = td_cp_range(d)
+        ops = td_channel(TDParams(d, lo)).kraus.operators
+        assert all(not K.any() for K in ops[:n_sym])
+        ops = td_channel(TDParams(d, hi)).kraus.operators
+        assert all(not K.any() for K in ops[n_sym:])
+
+
 def test_td_complement_qubit_matches_explicit_matrix(rng):
     for t in (-0.9, -2 / 3, -0.2, 0.3):
         c = td_complement_qubit(t)
@@ -101,14 +136,13 @@ def test_td_complement_qubit_mixed_input():
 
 
 def test_td_complement_qubit_equals_complement_route(rng):
-    # the built-in Kraus order of the qubit TD channel makes the two routes
-    # agree entrywise, not only spectrally
+    # the qubit complement is built from the closed-form TD Kraus set, so the
+    # two routes agree bit for bit, Kraus operators included
     for t in (-0.6, -0.1, 0.25):
         direct = td_complement_qubit(t)
         via_complement = complement(td_channel(TDParams(2, t)))
-        npt.assert_allclose(
-            direct.superop.matrix, via_complement.superop.matrix, atol=1e-9
-        )
+        npt.assert_array_equal(direct.kraus.operators, via_complement.kraus.operators)
+        assert direct.label == f"td-comp:t={t!r}"
 
 
 def test_td_complement_qubit_range():
