@@ -41,9 +41,9 @@ class NotTP(ValueError):
 
 
 def _check_dims(d_in, d_out):
-    """Reject dimensions that are not integers of at least 1."""
+    """Reject dimensions that are not integers of at least 1 (a bool is not one)."""
     for d in (d_in, d_out):
-        if not isinstance(d, (int, np.integer)) or d < 1:
+        if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
             raise ValueError(f"dimensions must be integers >= 1, got ({d_in!r}, {d_out!r})")
 
 

@@ -51,6 +51,7 @@ from .linalg import (  # noqa: F401  (kernel_basis: see above)
     DEFAULT_TOL,
     Tolerance,
     hermitian_eigs,
+    hermitian_part,
     kernel_basis,
     numeric_rank,
     psd_floor,
@@ -149,25 +150,44 @@ class KernelFamily:
         return D + np.outer(r, u) / self.base.d_out
 
     def project_directions(self, X):
-        """The orthogonal projection L of a Choi matrix X (raw array) onto the
-        directions of A: K K^H D (I - u u^T / d_out) on the superoperator D
-        of X, Hermitized.  A point of A minus L(X) stays in A.  Works in place
-        on one reshuffled copy of X and returns a new, exactly Hermitian Choi
-        matrix."""
+        """Overwrite the Choi matrix X (a C-contiguous complex array) with
+        its orthogonal projection L onto the directions of A, and return it:
+        L is K K^H D (I - u u^T / d_out) on the superoperator D of X,
+        Hermitized, and exactly Hermitian.  A point of A minus L(X) stays in
+        A.  Besides X it uses one reshuffled copy of X, and every
+        elementwise ufunc acts on contiguous arrays or single columns: numpy
+        allocates a hidden buffer of up to 8192 elements for one on a
+        transposed or strided 2-d view."""
+        if X.dtype != complex or not X.flags.c_contiguous:
+            raise ValueError("project_directions overwrites a C-contiguous complex array")
         d_mid, d_tgt = self.base.d_in, self.base.d_out
+        n = d_mid * d_tgt
         V = self.rowspace
         D = X.reshape(d_mid, d_tgt, d_mid, d_tgt).transpose(0, 2, 1, 3).copy()
         D = D.reshape(d_mid**2, d_tgt**2)
-        tp_cols = D[:, :: d_tgt + 1]  # the d_out columns where u is nonzero
-        tp_cols -= tp_cols.sum(axis=1, keepdims=True) / d_tgt
-        D -= V.conj().T @ (V @ D)
-        D4 = D.reshape(d_mid, d_mid, d_tgt, d_tgt)
-        L = np.empty_like(X)
-        L4 = L.reshape(d_mid, d_tgt, d_mid, d_tgt)
-        np.conjugate(D4.transpose(1, 3, 0, 2), out=L4)
-        L4 += D4.transpose(0, 2, 1, 3)
-        L *= 0.5
-        return L
+        shift = D[:, :: d_tgt + 1].sum(axis=1)  # the d_out columns where u is nonzero
+        shift /= d_tgt
+        for col in range(0, d_tgt**2, d_tgt + 1):
+            D[:, col] -= shift
+        Y = V @ D
+        # K K^H = I - V^H V.  V^H Y is formed as conj(V)^T Y in X's buffer,
+        # with V conjugated in place for the product and back after it (both
+        # exact), so that neither conj(V) nor the product is a new array.
+        # So one family must not project in two threads at once.
+        np.conjugate(V, out=V)
+        try:
+            D -= np.matmul(V.T, Y, out=X.reshape(D.shape))
+        finally:
+            np.conjugate(V, out=V)
+        X.reshape(d_mid, d_tgt, d_mid, d_tgt)[...] = D.reshape(
+            d_mid, d_mid, d_tgt, d_tgt
+        ).transpose(0, 2, 1, 3)
+        T = D.reshape(n, n)  # D is spent: its buffer takes conj(X^T)
+        T[...] = X.T
+        np.conjugate(T, out=T)
+        X += T
+        X *= 0.5
+        return X
 
 
 class _Directions(Sequence):
@@ -245,30 +265,36 @@ def kernel_search(family: KernelFamily, cfg: SearchConfig):
     tol = cfg.tol
     d_mid, d_tgt = family.base.d_in, family.base.d_out
     R = superop_to_choi(SuperOp(d_mid, d_tgt, family.project(family.base.matrix))).matrix
-    R = (R + R.conj().T) / 2
+    R = hermitian_part(R)
     # Every point of A has the trace of a TP map, so one floor serves all.
     floor = psd_floor(R, tol)
     X_prev = R.copy()
     t, last_gap = 1.0, np.inf
     for iteration in range(cfg.max_iters + 1):
-        w, v = hermitian_eigs(R)
+        # R equals its Hermitian part: the start is Hermitized, and each step
+        # adds Hermitian matrices with real weights, which keeps R_ij and
+        # conj(R_ji) equal.  So R goes to eigh as it is.
+        w, v = np.linalg.eigh(R)
         if w[0] >= floor:
+            del v, X_prev
             return choi_to_superop(ChoiMatrix(d_mid, d_tgt, R))
         if iteration == cfg.max_iters:
             return None
         neg = int(np.searchsorted(w, 0.0))
-        gap = float(w[:neg] @ w[:neg])  # ||R - P||^2
-        N = (v[:, :neg] * w[:neg]) @ v[:, :neg].conj().T  # R - P
-        # Choi-sized arrays are freed once spent, to bound peak memory: v
-        # here, Z, N and LN below, and in candidate_spectrum the system
-        # (known, target) and the candidate's Choi matrix and eigenvectors.
-        del v
-        LN = family.project_directions(N)  # R - X
+        w = w[:neg]
+        gap = float(w @ w)  # ||R - P||^2
+        # Only the negative eigenpairs are kept, and N = R - P is projected
+        # in place: Choi-sized arrays are spent as soon as they can be, to
+        # bound peak memory.
+        v = v[:, :neg].copy()
+        LN = family.project_directions((v * w) @ v.conj().T)  # L(N) = R - X
         R -= LN  # X
         # A witness costs a second eigendecomposition, so it is tried only
         # after iterations 1, 2, 4, 8, ... and the last; it converges with
         # the iterates, so a NO comes at most about twice as late.
         if not iteration & (iteration + 1) or iteration + 1 == cfg.max_iters:
+            # R - P again; v * w is formed before v is conjugated in place
+            N = (v * w) @ np.conjugate(v, out=v).T
             Z = np.subtract(LN, N, out=N)  # P - X
             margin = float(np.vdot(Z, R).real)
             if margin < 0.0:
@@ -277,8 +303,8 @@ def kernel_search(family: KernelFamily, cfg: SearchConfig):
                 Z.flat[:: len(Z) + 1] += mu
                 if margin < floor * float(np.trace(Z).real):
                     return Witness(choi=Z, margin=margin)
-            del Z
-        del N, LN
+            del N, Z
+        del v, LN
         if gap > last_gap:
             t = 1.0
         last_gap = gap

@@ -96,6 +96,20 @@ def psd_floor(H, tol: Tolerance = DEFAULT_TOL) -> float:
     return -tol.psd_tol * max(abs(float(np.trace(H).real)), 1.0)
 
 
+def hermitian_part(H):
+    """(H + H^dag) / 2 of a square complex array, as a new array with the same
+    bytes as that expression.  It is built in the one new buffer, by an
+    assignment of H^T and in-place operations on contiguous arrays: a numpy
+    ufunc on a transposed view allocates a hidden buffer of up to 8192
+    elements."""
+    A = np.empty(H.shape, dtype=complex)
+    A[...] = H.T
+    np.conjugate(A, out=A)
+    A += H
+    A /= 2.0
+    return A
+
+
 def hermitian_eigs(H):
     """Eigendecomposition of the Hermitian part (H + H^dag)/2 of a square matrix.
 
@@ -104,4 +118,4 @@ def hermitian_eigs(H):
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
-    return np.linalg.eigh((H + H.conj().T) / 2.0)
+    return np.linalg.eigh(hermitian_part(H))

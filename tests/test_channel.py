@@ -101,7 +101,7 @@ def test_apply_dimension_mismatch():
         apply_choi(c.choi, np.eye(3) / 3)
 
 
-@pytest.mark.parametrize("dims", [(0, 2), (2, -4), (4.7, 2), (2, 2.0)])
+@pytest.mark.parametrize("dims", [(0, 2), (2, -4), (4.7, 2), (2, 2.0), (True, 2), (2, False)])
 def test_dimensions_must_be_positive_integers(dims):
     d_in, d_out = dims
     for build in (

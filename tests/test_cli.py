@@ -240,6 +240,7 @@ def _json_with(doc, key, literal):
 VERIFY = ["verify", "--certificate"]
 CERT = json.loads(FIXTURE.read_text())
 CHANNEL = channel_to_dict(td_channel(TDParams(2, 0.2)))
+ONE_TO_QUBIT = {"d_out": 2, "kraus": [[[[1.0, 0.0]], [[0.0, 0.0]]], [[[0.0, 0.0]], [[1.0, 0.0]]]]}
 
 
 @pytest.mark.parametrize(
@@ -253,10 +254,14 @@ CHANNEL = channel_to_dict(td_channel(TDParams(2, 0.2)))
         (VERIFY, _json_with(CERT, "d_in", "4.7")),
         (["decide", "--mode", "degradable", "--channel"], _json_with(CHANNEL, "d_in", "1e400")),
         (["decide", "--mode", "degradable", "--channel"], _json_with(CHANNEL, "d_in", "2.7")),
+        # true is a bool, an int subclass: with 2 x 1 Kraus operators it passed
+        # every shape check and failed late with a TypeError, exit 1.
+        (["decide", "--mode", "degradable", "--channel"], _json_with(ONE_TO_QUBIT, "d_in", "true")),
     ],
     ids=[
         "channel-not-a-string", "d_in-infinite", "entry-400-digits", "d_in-negative",
         "d_in-fractional", "channel-d_in-1e400", "channel-d_in-fractional",
+        "channel-d_in-true",
     ],
 )
 def test_malformed_stored_input_is_an_input_error(tmp_path, capsys, argv, text):
