@@ -9,7 +9,6 @@ from .channel import (
     apply,
     apply_choi,
     complement,
-    compose,
 )
 from .zoo import (
     ClonerParams,
@@ -31,7 +30,6 @@ __all__ = [
     "apply",
     "apply_choi",
     "complement",
-    "compose",
     "ClonerParams",
     "DepolParams",
     "TDParams",

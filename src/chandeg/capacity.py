@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Channel, apply, apply_adjoint, complement
-from .linalg import psd_floor
+from .linalg import hermitian_part, psd_floor
 from .zoo import in_range, known_antidegradable_range, require_in_range, td_cp_range
 
 
@@ -55,7 +55,7 @@ def _entropy_and_log(m):
     part.  Eigenvalues at or below the cut ``-psd_floor(m)`` count as zero:
     they are left out of the entropy (0 log 0 = 0, no renormalization) and
     floored at the cut in the log."""
-    w, v = np.linalg.eigh((m + m.conj().T) / 2)
+    w, v = np.linalg.eigh(hermitian_part(m))
     cut = -psd_floor(m)
     log_w = np.log(np.maximum(w, cut))
     kept = w > cut

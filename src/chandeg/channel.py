@@ -162,15 +162,6 @@ def apply_choi(R: ChoiMatrix, rho) -> np.ndarray:
     return np.einsum("mk,mlkn->ln", r, R4)
 
 
-def compose(M: SuperOp, N: SuperOp) -> SuperOp:
-    """Superoperator of the composition "apply M first, then N"."""
-    if M.d_out != N.d_in:
-        raise DimensionMismatch(
-            f"cannot compose: first map outputs dim {M.d_out}, second expects {N.d_in}"
-        )
-    return SuperOp(M.d_in, N.d_out, M.matrix @ N.matrix)
-
-
 def is_cp(R: ChoiMatrix, tol: Tolerance = DEFAULT_TOL):
     """(CP?, minimal eigenvalue) -- CP iff lambda_min >= psd_floor(R.matrix)."""
     w, _ = hermitian_eigs(R.matrix)
@@ -193,10 +184,9 @@ def partial_transpose(R: ChoiMatrix) -> np.ndarray:
 
 
 def is_ppt(R: ChoiMatrix, tol: Tolerance = DEFAULT_TOL):
-    """True when the partial transpose of the Choi matrix is PSD."""
-    pt = partial_transpose(R)
-    w = np.linalg.eigvalsh((pt + pt.conj().T) / 2)
-    return bool(w[0] >= psd_floor(R.matrix, tol))
+    """True when the partial transpose of the Choi matrix passes is_cp's test
+    (it keeps the diagonal, so the PSD floor is R's)."""
+    return is_cp(ChoiMatrix(R.d_in, R.d_out, partial_transpose(R)), tol)[0]
 
 
 @dataclass(frozen=True)
@@ -220,9 +210,6 @@ class Channel:
     @property
     def d_out(self):
         return self.kraus.d_out
-
-    def __call__(self, rho):
-        return apply(self.superop, rho)
 
 
 def complement(c: Channel) -> Channel:

@@ -95,7 +95,7 @@ def parse_channel(spec: str) -> Channel:
         if kind == "file":
             with open(body) as fh:
                 return channel_from_dict(json.load(fh))
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, RecursionError) as exc:  # deeply nested JSON recurses
         raise CliError(f"cannot build channel from {spec!r}: {exc}") from exc
     raise CliError(f"unknown channel kind {kind!r}")
 
@@ -211,7 +211,10 @@ def cmd_verify(args) -> int:
             raise CliError(f"verdict {doc['status']} carries no certificate")
         body = doc["certificate"] if "certificate" in doc else doc
         cert = SuperOp(body["d_in"], body["d_out"], from_pairs(body["matrix"]))
-    except (OSError, KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+    except (
+        OSError, KeyError, TypeError, ValueError, AttributeError, OverflowError,
+        RecursionError,  # deeply nested JSON
+    ) as exc:
         raise CliError(f"unreadable certificate: {exc}") from exc
     ok, report = verify_certificate(chan, mode, cert, tol)
     report["schema_version"] = SCHEMA_VERSION

@@ -115,7 +115,9 @@ class Verdict:
 @dataclass(frozen=True)
 class KernelFamily:
     """Least-squares solutions base + K X of known @ D = target; K spans the
-    complement of ``rowspace`` (orthonormal rows), the null space of known."""
+    complement of ``rowspace`` (orthonormal rows), the null space of known.
+    ``kernel_family`` makes the row space read-only, so one family can be
+    shared across threads."""
 
     base: SuperOp
     rowspace: np.ndarray = field(repr=False)
@@ -154,10 +156,10 @@ class KernelFamily:
         its orthogonal projection L onto the directions of A, and return it:
         L is K K^H D (I - u u^T / d_out) on the superoperator D of X,
         Hermitized, and exactly Hermitian.  A point of A minus L(X) stays in
-        A.  Besides X it uses one reshuffled copy of X, and every
-        elementwise ufunc acts on contiguous arrays or single columns: numpy
-        allocates a hidden buffer of up to 8192 elements for one on a
-        transposed or strided 2-d view."""
+        A.  It only reads the family.  Besides X it uses one reshuffled copy
+        of X, and every elementwise ufunc acts on contiguous arrays or single
+        columns: numpy allocates a hidden buffer of up to 8192 elements for
+        one on a transposed or strided 2-d view."""
         if X.dtype != complex or not X.flags.c_contiguous:
             raise ValueError("project_directions overwrites a C-contiguous complex array")
         d_mid, d_tgt = self.base.d_in, self.base.d_out
@@ -170,15 +172,12 @@ class KernelFamily:
         for col in range(0, d_tgt**2, d_tgt + 1):
             D[:, col] -= shift
         Y = V @ D
-        # K K^H = I - V^H V.  V^H Y is formed as conj(V)^T Y in X's buffer,
-        # with V conjugated in place for the product and back after it (both
-        # exact), so that neither conj(V) nor the product is a new array.
-        # So one family must not project in two threads at once.
-        np.conjugate(V, out=V)
-        try:
-            D -= np.matmul(V.T, Y, out=X.reshape(D.shape))
-        finally:
-            np.conjugate(V, out=V)
+        # K K^H = I - V^H V.  V^H Y is formed as conj(V^T conj(Y)), with Y
+        # and then the product (in X's buffer) conjugated in place, so that
+        # neither conj(V) nor the product is a new array and V is only read.
+        np.conjugate(Y, out=Y)
+        P = np.matmul(V.T, Y, out=X.reshape(D.shape))
+        D -= np.conjugate(P, out=P)
         X.reshape(d_mid, d_tgt, d_mid, d_tgt)[...] = D.reshape(
             d_mid, d_mid, d_tgt, d_tgt
         ).transpose(0, 2, 1, 3)
@@ -220,6 +219,7 @@ def kernel_family(known: SuperOp, target: SuperOp, tol: Tolerance = DEFAULT_TOL)
             f"known map input dim {known.d_in} != target input dim {target.d_in}"
         )
     pinv, rowspace = pseudoinverse(known.matrix, tol)
+    rowspace.flags.writeable = False
     D = pinv @ target.matrix
     residual, consistent = _residual(known.matrix, D, target.matrix, tol)
     return KernelFamily(

@@ -20,7 +20,6 @@ from chandeg.channel import (
     choi_rank,
     choi_to_superop,
     complement,
-    compose,
     is_cp,
     is_ppt,
     is_tp,
@@ -114,21 +113,20 @@ def test_dimensions_must_be_positive_integers(dims):
 
 
 def test_compose(rng):
+    # "apply M first, then N" is the plain product of the superoperators
     M = random_channel(rng, 2, 3, 2)
     N = random_channel(rng, 3, 2, 3)
-    both = compose(M.superop, N.superop)
+    both = SuperOp(2, 2, M.superop.matrix @ N.superop.matrix)
     rho = random_state(rng, 2)
     npt.assert_allclose(apply(both, rho), apply(N.superop, apply(M.superop, rho)), atol=1e-10)
     ident = identity_channel(3)
-    npt.assert_allclose(compose(M.superop, ident.superop).matrix, M.superop.matrix, atol=1e-12)
-    with pytest.raises(DimensionMismatch):
-        compose(M.superop, M.superop)
+    npt.assert_allclose(M.superop.matrix @ ident.superop.matrix, M.superop.matrix, atol=1e-12)
 
 
 def test_compose_after_full_depolarization(rng):
     dep = td_channel(TDParams(2, 0.0))
     N = random_channel(rng, 2, 2, 2)
-    both = compose(dep.superop, N.superop)
+    both = SuperOp(2, 2, dep.superop.matrix @ N.superop.matrix)
     expected = apply(N.superop, np.eye(2) / 2)
     for _ in range(5):
         npt.assert_allclose(apply(both, random_state(rng, 2)), expected, atol=1e-10)
@@ -138,7 +136,7 @@ def test_complement_of_identity_is_trivial(rng):
     comp = complement(identity_channel(2))
     assert comp.d_out == 1
     rho = random_state(rng, 2)
-    npt.assert_allclose(comp(rho), [[1.0]], atol=1e-12)
+    npt.assert_allclose(apply(comp.superop, rho), [[1.0]], atol=1e-12)
 
 
 def test_complement_requires_tp():
@@ -150,7 +148,7 @@ def test_complement_entries_are_overlap_traces(rng):
     c = random_channel(rng, 3, 2, 4)
     comp = complement(c)
     rho = random_state(rng, 3)
-    out = comp(rho)
+    out = apply(comp.superop, rho)
     for e, Ke in enumerate(c.kraus.operators):
         for f, Kf in enumerate(c.kraus.operators):
             npt.assert_allclose(out[e, f], np.trace(Kf.conj().T @ Ke @ rho), atol=1e-10)
@@ -217,7 +215,7 @@ def test_representation_coherence_cycle(rng):
         c = random_channel(rng, d_in, d_out, int(rng.integers(2, 5)))
         R = superop_to_choi(choi_to_superop(c.choi))
         rho = random_state(rng, d_in)
-        npt.assert_allclose(apply_choi(R, rho), c(rho), atol=1e-9)
+        npt.assert_allclose(apply_choi(R, rho), apply(c.superop, rho), atol=1e-9)
 
 
 def test_channel_json_round_trip(rng):

@@ -257,11 +257,14 @@ ONE_TO_QUBIT = {"d_out": 2, "kraus": [[[[1.0, 0.0]], [[0.0, 0.0]]], [[[0.0, 0.0]
         # true is a bool, an int subclass: with 2 x 1 Kraus operators it passed
         # every shape check and failed late with a TypeError, exit 1.
         (["decide", "--mode", "degradable", "--channel"], _json_with(ONE_TO_QUBIT, "d_in", "true")),
+        # json.load recursed past the interpreter's limit: a traceback, exit 1.
+        (["decide", "--mode", "degradable", "--channel"], "[" * 100000 + "]" * 100000),
+        (VERIFY, "[" * 100000 + "]" * 100000),
     ],
     ids=[
         "channel-not-a-string", "d_in-infinite", "entry-400-digits", "d_in-negative",
         "d_in-fractional", "channel-d_in-1e400", "channel-d_in-fractional",
-        "channel-d_in-true",
+        "channel-d_in-true", "channel-nested-deep", "nested-deep",
     ],
 )
 def test_malformed_stored_input_is_an_input_error(tmp_path, capsys, argv, text):

@@ -1,6 +1,9 @@
 import gc
 import json
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import numpy.testing as npt
@@ -26,7 +29,6 @@ from chandeg.degradability import (
     SearchConfig,
     Witness,
     _build_system,
-    candidate_map,
     decide,
     ecd_screen,
     kernel_family,
@@ -116,27 +118,27 @@ def test_conjugate_target_preserves_rank(rng):
 def test_candidate_map_identity_known(rng):
     known = SuperOp(2, 2, np.eye(4))
     target = td_channel(TDParams(2, 0.2)).superop
-    D, consistent, residual = candidate_map(known, target)
-    assert consistent and residual < 1e-12
-    npt.assert_allclose(D.matrix, target.matrix, atol=1e-12)
+    fam = kernel_family(known, target)
+    assert fam.consistent and fam.residual < 1e-12
+    npt.assert_allclose(fam.base.matrix, target.matrix, atol=1e-12)
 
 
 def test_candidate_map_reproduces_closed_form():
     for t in (-2 / 3, -0.25, 0.25):
         chan = td_channel(TDParams(2, t))
         comp = complement(chan)
-        D, consistent, _ = candidate_map(comp.superop, chan.superop)
-        assert consistent
-        npt.assert_allclose(D.matrix, antidegrading_candidate_matrix(t), atol=1e-8)
+        fam = kernel_family(comp.superop, chan.superop)
+        assert fam.consistent
+        npt.assert_allclose(fam.base.matrix, antidegrading_candidate_matrix(t), atol=1e-8)
 
 
 def test_degrading_candidate_negative_outside_unitary_case():
     # the degrading candidate of a nondegradable qubit map fails positivity
     chan = td_channel(TDParams(2, 0.2))
     comp = complement(chan)
-    D, consistent, _ = candidate_map(chan.superop, comp.superop)
-    assert consistent
-    cp, min_eig = is_cp(superop_to_choi(D))
+    fam = kernel_family(chan.superop, comp.superop)
+    assert fam.consistent
+    cp, min_eig = is_cp(superop_to_choi(fam.base))
     assert not cp and min_eig < -1e-6
 
 
@@ -311,6 +313,7 @@ def test_project_directions_is_an_orthogonal_projection_within_the_solutions(rng
     n = 27
     X, Y = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(2))
     X, Y = X + X.conj().T, Y + Y.conj().T
+    rowspace = fam.rowspace.tobytes()
     # it overwrites its argument
     L = X.copy()
     assert fam.project_directions(L) is L
@@ -319,11 +322,38 @@ def test_project_directions_is_an_orthogonal_projection_within_the_solutions(rng
     assert abs(np.vdot(X - L, fam.project_directions(Y))) < 1e-10
     with pytest.raises(ValueError, match="C-contiguous complex"):
         fam.project_directions(X.T)
+    # it only reads the family, whose row space cannot be written
+    assert fam.rowspace.tobytes() == rowspace
+    assert not fam.rowspace.flags.writeable
     # a trace-preserving solution minus L(X) is one too
     R = superop_to_choi(SuperOp(9, 3, fam.project(fam.base.matrix))).matrix - L
     D = choi_to_superop(ChoiMatrix(9, 3, R)).matrix
     assert np.linalg.norm(comp.superop.matrix @ D - chan.superop.matrix) < 1e-10
     npt.assert_allclose(np.einsum("klml->km", R.reshape(9, 3, 9, 3)), np.eye(9), atol=1e-12)
+
+
+def test_one_family_projects_in_two_threads_at_once(rng):
+    # a complex row space, which conjugation changes
+    fam = kernel_family(*_build_system(Query(random_channel(rng, 3, 5, 3), Mode.DEGRADABLE)))
+    assert fam.kernel_dim and np.abs(fam.rowspace.imag).max() > 0.1
+    inputs = [rng.normal(size=(15, 15)) + 1j * rng.normal(size=(15, 15)) for _ in range(1000)]
+    serial = [fam.project_directions(X.copy()).tobytes() for X in inputs]
+    start = threading.Barrier(2)
+
+    def project_all():
+        start.wait()
+        return [fam.project_directions(X.copy()).tobytes() for X in inputs]
+
+    # switch threads every microsecond, so that their projections interleave
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            runs = [pool.submit(project_all) for _ in range(2)]
+            results = [run.result() for run in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [serial, serial]
 
 
 def test_search_gives_up_after_max_iters():
@@ -484,7 +514,7 @@ def test_search_start_certifies_what_the_candidate_gate_leaves_open(chan, mode):
     # returns it at iteration 0
     q = Query(chan, mode)
     known, target = _build_system(q)
-    D0, _, _ = candidate_map(known, target)
+    D0 = kernel_family(known, target).base
     assert not verify_certificate(chan, mode, D0)[1]["cp"]
     start = kernel_search(kernel_family(known, target), SearchConfig(max_iters=0))
     v = decide(q)
@@ -502,7 +532,7 @@ def test_yes_without_search_is_trace_preserving(chan):
     # its trace-preserving projection
     q = Query(chan, Mode.ANTIDEGRADABLE)
     known, target = _build_system(q)
-    D0, _, _ = candidate_map(known, target)
+    D0 = kernel_family(known, target).base
     ok, report = verify_certificate(chan, q.mode, D0)
     assert report["cp"] and not report["tp"] and not ok
     v = decide(q)

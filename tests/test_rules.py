@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from chandeg.capacity import td_complement_capacity
-from chandeg.channel import ChoiMatrix, is_cp
+from chandeg.channel import ChoiMatrix, is_cp, is_ppt, partial_transpose
 from chandeg.linalg import psd_floor
 from chandeg.zoo import OutOfCPRange, TDParams, td_complement_qubit
 
@@ -50,3 +50,6 @@ def test_psd_floor_is_one_rule(offset, accepted):
         assert abs(np.linalg.eigvalsh(x)[0] - floor) > 1e-3 * abs(floor)
 
     assert is_cp(ChoiMatrix(2, 2, m))[0] == accepted
+    # The partial transpose is an involution, so m is the partial transpose
+    # of its own partial transpose.
+    assert is_ppt(ChoiMatrix(2, 2, partial_transpose(ChoiMatrix(2, 2, m)))) == accepted

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from chandeg.channel import complement, is_tp
+from chandeg.channel import apply, complement, is_tp
 from chandeg.zoo import (
     ClonerParams,
     DepolParams,
@@ -45,7 +45,7 @@ def test_depol_params_range():
 def test_td_full_depolarization(rng):
     c = td_channel(TDParams(3, 0.0))
     for _ in range(5):
-        npt.assert_allclose(c(random_state(rng, 3)), np.eye(3) / 3, atol=1e-12)
+        npt.assert_allclose(apply(c.superop, random_state(rng, 3)), np.eye(3) / 3, atol=1e-12)
 
 
 def test_td_boundary_zero_eigenvalue():
@@ -57,7 +57,7 @@ def test_td_action_and_unitality(rng):
     for d, t in ((2, -0.7), (2, 0.25), (3, -0.4), (3, 0.2)):
         c = td_channel(TDParams(d, t))
         rho = random_state(rng, d)
-        npt.assert_allclose(c(rho), t * rho.T + (1 - t) / d * np.eye(d), atol=1e-12)
+        npt.assert_allclose(apply(c.superop, rho), t * rho.T + (1 - t) / d * np.eye(d), atol=1e-12)
         assert is_unital(c)
         ok, _ = is_tp(c.choi)
         assert ok
@@ -66,11 +66,11 @@ def test_td_action_and_unitality(rng):
 def test_depolarizing_action(rng):
     ident = depolarizing(DepolParams(2, 1.0))
     rho = random_state(rng, 2)
-    npt.assert_allclose(ident(rho), rho, atol=1e-12)
+    npt.assert_allclose(apply(ident.superop, rho), rho, atol=1e-12)
     dep = depolarizing(DepolParams(3, 0.0))
-    npt.assert_allclose(dep(random_state(rng, 3)), np.eye(3) / 3, atol=1e-12)
+    npt.assert_allclose(apply(dep.superop, random_state(rng, 3)), np.eye(3) / 3, atol=1e-12)
     mid = depolarizing(DepolParams(2, -0.2))
-    npt.assert_allclose(mid(rho), -0.2 * rho + 1.2 / 2 * np.eye(2), atol=1e-12)
+    npt.assert_allclose(apply(mid.superop, rho), -0.2 * rho + 1.2 / 2 * np.eye(2), atol=1e-12)
 
 
 def test_td_equals_rotated_depolarizing(rng):
@@ -81,7 +81,8 @@ def test_td_equals_rotated_depolarizing(rng):
         dep = depolarizing(DepolParams(2, -t))
         for _ in range(3):
             rho = random_state(rng, 2)
-            npt.assert_allclose(sy @ dep(rho) @ sy, td(rho), atol=1e-12)
+            rotated = sy @ apply(dep.superop, rho) @ sy
+            npt.assert_allclose(rotated, apply(td.superop, rho), atol=1e-12)
 
 
 def qubit_td_complement_apply(rho, t):
@@ -123,13 +124,13 @@ def test_td_complement_qubit_matches_explicit_matrix(rng):
     for t in (-0.9, -2 / 3, -0.2, 0.3):
         c = td_complement_qubit(t)
         rho = random_state(rng, 2)
-        npt.assert_allclose(c(rho), qubit_td_complement_apply(rho, t), atol=1e-9)
-        assert np.isclose(np.trace(c(rho)), 1.0)
+        npt.assert_allclose(apply(c.superop, rho), qubit_td_complement_apply(rho, t), atol=1e-9)
+        assert np.isclose(np.trace(apply(c.superop, rho)), 1.0)
 
 
 def test_td_complement_qubit_mixed_input():
     for t in (-0.5, 0.0, 0.2):
-        out = td_complement_qubit(t)(np.eye(2) / 2)
+        out = apply(td_complement_qubit(t).superop, np.eye(2) / 2)
         npt.assert_allclose(
             out, np.diag([(1 + t) / 4] * 3 + [(1 - 3 * t) / 4]), atol=1e-12
         )
@@ -177,7 +178,7 @@ def test_mixed_symmetry_reproduces_complement_spectrum(rng):
         npt.assert_allclose(a * a + a * b + b * b, 1.0, atol=1e-12)
         rho = random_state(rng, 2)
         sig = mixed_symmetry_map(a, b, 2)(rho)
-        ref = td_complement_qubit(t)(rho)
+        ref = apply(td_complement_qubit(t).superop, rho)
         npt.assert_allclose(
             np.sort(np.linalg.eigvalsh(sig)), np.sort(np.linalg.eigvalsh(ref)), atol=1e-9
         )
