@@ -50,21 +50,25 @@ def _ln(base: float) -> float:
     return np.log(base)
 
 
-def _entropy_and_log(m):
-    """H(m) in nats and log m, from one eigendecomposition of m's Hermitian
-    part.  Eigenvalues at or below the cut ``-psd_floor(m)`` count as zero:
-    they are left out of the entropy (0 log 0 = 0, no renormalization) and
-    floored at the cut in the log."""
+def _spectrum(m):
+    """(H(m) in nats, eigenvalues, eigenvectors, cut) from one
+    eigendecomposition of m's Hermitian part.  Eigenvalues at or below the
+    cut ``-psd_floor(m)`` count as zero: they are left out of the entropy
+    (0 log 0 = 0, no renormalization)."""
     w, v = np.linalg.eigh(hermitian_part(m))
     cut = -psd_floor(m)
-    log_w = np.log(np.maximum(w, cut))
-    kept = w > cut
-    return -float(np.sum(w[kept] * log_w[kept])), (v * log_w) @ v.conj().T
+    kept = w[w > cut]
+    return -float(np.sum(kept * np.log(kept))), w, v, cut
+
+
+def _log_matrix(w, v, floor):
+    """log of the Hermitian matrix with eigenpairs (w, v), eigenvalues floored at floor."""
+    return (v * np.log(np.maximum(w, floor))) @ v.conj().T
 
 
 def von_neumann_entropy(rho, base: float = 2.0) -> float:
     """H(rho) = -sum lambda_i log_base lambda_i, with 0 log 0 = 0."""
-    return float(_entropy_and_log(np.asarray(rho, dtype=complex))[0] / _ln(base))
+    return float(_spectrum(np.asarray(rho, dtype=complex))[0] / _ln(base))
 
 
 def coherent_information(c: Channel, rho, base: float = 2.0) -> float:
@@ -72,7 +76,11 @@ def coherent_information(c: Channel, rho, base: float = 2.0) -> float:
 
     Independent of the complement representative (only spectra enter).
     """
-    return float(_coherent_information_gradient(c, complement(c), rho, base)[0])
+    comp = complement(c)
+    ln_b = _ln(base)
+    h = _spectrum(apply(c.superop, rho))[0]
+    h_env = _spectrum(apply(comp.superop, rho))[0]
+    return float((h - h_env) / ln_b)
 
 
 def covariant_capacity(c: Channel, base: float = 2.0) -> CapacityResult:
@@ -94,26 +102,23 @@ def covariant_capacity(c: Channel, base: float = 2.0) -> CapacityResult:
 
 
 def td_complement_capacity(d: int, t: float) -> CapacityResult:
-    """Closed-form capacity of the transpose-depolarizing complement.
+    """Closed-form capacity of the transpose-depolarizing complement: its
+    coherent information at I/d, H(complement(I/d)) - 1 in base d.
 
-    d=2 (base 2): -3((1+t)/4)log2((1+t)/4) - ((1-3t)/4)log2((1-3t)/4) - 1,
-    proven on t in [-2/3, 1/3].
-    d=3 (base 3): -2((1+2t)/3)log3((1+2t)/9) - ((1-4t)/3)log3((1-4t)/9) - 1,
-    numerical-evidence status on [-1/2, 1/4].
+    The spectrum of complement(I/d) is the TD Choi spectrum divided by d:
+    (1 + (d-1)t)/d^2 with multiplicity d(d+1)/2 and (1 - (d+1)t)/d^2 with
+    multiplicity d(d-1)/2.  Only d = 2 (proven on t in [-2/3, 1/3]) and
+    d = 3 (numerical-evidence status on [-1/2, 1/4]) are offered.
     """
     if d not in (2, 3):
         raise ValueError(f"closed forms available for d in {{2, 3}}, got {d}")
     require_in_range("t", t, *td_cp_range(d), d)
     base = float(d)
-    if d == 2:
-        probs = [((1.0 + t) / 4.0, 3), ((1.0 - 3.0 * t) / 4.0, 1)]
-    else:
-        probs = [((1.0 + 2.0 * t) / 9.0, 6), ((1.0 - 4.0 * t) / 9.0, 3)]
-    value = 0.0
-    for p, mult in probs:
-        if p > 0:
-            value -= mult * p * np.log(p) / np.log(base)
-    value -= 1.0
+    probs = [
+        ((1.0 + (d - 1) * t) / d**2, d * (d + 1) // 2),
+        ((1.0 - (d + 1) * t) / d**2, d * (d - 1) // 2),
+    ]
+    value = -sum(mult * p * np.log(p) / np.log(base) for p, mult in probs if p > 0) - 1.0
     lo, hi, range_status = known_antidegradable_range(d)
     status = "PROVEN" if range_status == "proven" and in_range(t, lo, hi) else "NUMERICAL_EVIDENCE"
     return CapacityResult(value=float(value), base=base, method="covariant-closed-form", status=status)
@@ -136,11 +141,6 @@ class MinimizeResult:
     nit: int  # steps tried
 
 
-def _floored_log(w, v):
-    """log of the state with eigenpairs (w, v), eigenvalues floored at 1e-15."""
-    return (v * np.log(np.maximum(w, _EIG_FLOOR))) @ v.conj().T
-
-
 def minimize(fun, x0, max_iters: int) -> MinimizeResult:
     """Minimize ``fun`` over density matrices by matrix-exponentiated gradient
     steps (Tsuda, Rätsch & Warmuth, JMLR 6 (2005)).
@@ -156,7 +156,7 @@ def minimize(fun, x0, max_iters: int) -> MinimizeResult:
     by less than 1e-14, or after ``max_iters`` steps.  ``x0`` must have full
     rank; it is returned as is when it already meets the gap test.
     """
-    log_x = _floored_log(*np.linalg.eigh(x0))
+    log_x = _log_matrix(*np.linalg.eigh(x0), _EIG_FLOOR)
     x = x0
     value, grad = fun(x)
     nfev, nit, eta = 1, 0, _FIRST_STEP
@@ -173,7 +173,7 @@ def minimize(fun, x0, max_iters: int) -> MinimizeResult:
         nfev += 1
         gain = value - trial_value
         if gain >= 0:
-            x, value, grad, log_x = trial, trial_value, trial_grad, _floored_log(p, v)
+            x, value, grad, log_x = trial, trial_value, trial_grad, _log_matrix(p, v, _EIG_FLOOR)
             eta *= _STEP_GROWTH
         else:
             eta /= 2
@@ -191,9 +191,10 @@ def _coherent_information_gradient(c: Channel, comp: Channel, rho, base: float):
     adjoints are unital.
     """
     ln_b = _ln(base)
-    h, log_out = _entropy_and_log(apply(c.superop, rho))
-    h_env, log_env = _entropy_and_log(apply(comp.superop, rho))
-    adj, adj_env = apply_adjoint(c.superop, log_out), apply_adjoint(comp.superop, log_env)
+    h, *eig = _spectrum(apply(c.superop, rho))
+    h_env, *eig_env = _spectrum(apply(comp.superop, rho))
+    adj = apply_adjoint(c.superop, _log_matrix(*eig))
+    adj_env = apply_adjoint(comp.superop, _log_matrix(*eig_env))
     return (h - h_env) / ln_b, (adj_env - adj) / ln_b
 
 

@@ -17,6 +17,7 @@ Conversion between Choi matrix and superoperator is the pure index permutation
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -66,10 +67,6 @@ class KrausSet:
                     f"Kraus operator shape {K.shape} != ({self.d_out}, {self.d_in})"
                 )
         object.__setattr__(self, "operators", ops)
-
-    def is_trace_preserving(self):
-        acc = sum(K.conj().T @ K for K in self.operators)
-        return np.linalg.norm(acc - np.eye(self.d_in)) <= DEFAULT_TOL.residual_tol
 
 
 @dataclass(frozen=True)
@@ -218,11 +215,13 @@ def complement(c: Channel) -> Channel:
     For Kraus operators K_e the complement has entries
     ``[C(rho)]_{ef} = Tr[K_f^dag K_e rho]``; its Kraus operators are
     ``(Khat_j)_{e,i} = (K_e)_{j,i}``.  Unique up to an isometry on the
-    environment; the representative follows the stored Kraus order.
+    environment; the representative follows the stored Kraus order.  Raises
+    NotTP unless ``is_tp`` accepts c's Choi matrix, whose Tr_B is the
+    conjugate of sum_e K_e^dag K_e.
     """
-    k = c.kraus
-    if not k.is_trace_preserving():
+    if not is_tp(c.choi)[0]:
         raise NotTP("complement requires a trace-preserving Kraus set")
+    k = c.kraus
     stack = np.array(k.operators)  # (d_E, d_out, d_in)
     ops = tuple(stack[:, j, :].copy() for j in range(k.d_out))
     name = f"complement({c.label})" if c.label else "complement"
@@ -240,7 +239,11 @@ def to_pairs(A) -> list:
 
 
 def from_pairs(rows) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
+    """The complex matrix of row-major [re, im] pairs; a bool is not a number."""
+    A = np.array([[complex(re, im) for re, im in row] for row in rows])
+    if any(bool in set(map(type, chain.from_iterable(row))) for row in rows):
+        raise ValueError("matrix entries must be numbers, got a boolean")
+    return A
 
 
 def _json_float(x: float) -> str:

@@ -62,6 +62,8 @@ def _parse_kv(body, keys):
         key = key.strip()
         if key not in keys:
             raise CliError(f"unknown parameter {key!r} (expected {sorted(keys)})")
+        if key in out:
+            raise CliError(f"repeated parameter {key!r}")
         out[key] = val.strip()
     missing = set(keys) - set(out)
     if missing:

@@ -63,6 +63,19 @@ def test_coherent_information_identity(rng):
     npt.assert_allclose(coherent_information(ident, rho), von_neumann_entropy(rho), atol=1e-10)
 
 
+def test_entropies_build_no_log_matrix(monkeypatch, rng):
+    # Only the gradient needs the adjoint maps of the log matrices.
+    def refuse(*args):
+        raise AssertionError("entropy-only caller built a log matrix")
+
+    monkeypatch.setattr(capacity, "apply_adjoint", refuse)
+    monkeypatch.setattr(capacity, "_log_matrix", refuse)
+    c = td_complement_qubit(-0.3)
+    assert np.isfinite(coherent_information(c, random_state(rng, 2)))
+    assert np.isfinite(covariant_capacity(c).value)
+    assert np.isfinite(von_neumann_entropy(random_state(rng, 3)))
+
+
 def test_coherent_information_full_depolarization():
     dep = td_channel(TDParams(2, 0.0))
     assert np.isclose(coherent_information(dep, np.eye(2) / 2), -1.0)

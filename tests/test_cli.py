@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chandeg.channel import channel_to_dict
+from chandeg.channel import Channel, KrausSet, NotTP, channel_to_dict, complement
 from chandeg.cli import build_parser, main, parse_channel
 from chandeg.linalg import DEFAULT_TOL
 from chandeg.zoo import TDParams, td_channel
@@ -96,6 +96,12 @@ def test_decide_bad_channel(capsys):
         ["decide", "--channel", "td:d=2,t=0.9", "--mode", "degradable"], capsys
     )
     assert code == 3 and "error:" in err
+    # The last t used to win: t = -0.5 answered YES, exit 0, although the
+    # spec also names t = 0.9, outside the qubit CP range.
+    code, out, err = run_cli(
+        ["decide", "--channel", "td:d=2,t=0.9,t=-0.5", "--mode", "antidegradable"], capsys
+    )
+    assert code == 3 and out == "" and err == "error: repeated parameter 't'\n"
 
 
 def test_sweep_eigs_output(capsys):
@@ -260,11 +266,23 @@ ONE_TO_QUBIT = {"d_out": 2, "kraus": [[[[1.0, 0.0]], [[0.0, 0.0]]], [[[0.0, 0.0]
         # json.load recursed past the interpreter's limit: a traceback, exit 1.
         (["decide", "--mode", "degradable", "--channel"], "[" * 100000 + "]" * 100000),
         (VERIFY, "[" * 100000 + "]" * 100000),
+        (["decide", "--mode", "degradable", "--channel"], _json_with(CHANNEL, "kraus", "[]")),
+        (["decide", "--mode", "degradable", "--channel"],
+         _json_with(CHANNEL, "kraus", json.dumps([CHANNEL["kraus"][0][:1]]))),
+        (VERIFY, _json_with(CERT, "matrix", json.dumps(CERT["matrix"][:4]))),
+        # complex(True, False) is 1: both were accepted, exit 0.
+        (VERIFY, json.dumps({**CERT, "matrix": [[[True, False]] + CERT["matrix"][0][1:]]
+                                               + CERT["matrix"][1:]})),
+        (["decide", "--mode", "degradable", "--channel"],
+         json.dumps({"d_in": 2, "d_out": 2,
+                     "kraus": [[[[True, False], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]})),
     ],
     ids=[
         "channel-not-a-string", "d_in-infinite", "entry-400-digits", "d_in-negative",
         "d_in-fractional", "channel-d_in-1e400", "channel-d_in-fractional",
-        "channel-d_in-true", "channel-nested-deep", "nested-deep",
+        "channel-d_in-true", "channel-nested-deep", "nested-deep", "channel-no-kraus",
+        "channel-kraus-wrong-shape", "matrix-wrong-shape", "entry-boolean",
+        "channel-entry-boolean",
     ],
 )
 def test_malformed_stored_input_is_an_input_error(tmp_path, capsys, argv, text):
@@ -275,6 +293,28 @@ def test_malformed_stored_input_is_an_input_error(tmp_path, capsys, argv, text):
     assert code == 3 and out == ""
     prefix = "error: unreadable certificate: " if argv == VERIFY else "error: "
     assert err.startswith(prefix) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("scale, code", [(1 + 1e-8, 0), (1 + 1e-5, 3)])
+def test_complement_applies_is_tps_bound(tmp_path, capsys, scale, code):
+    # Scaled by 1 + 1e-8, sum K^dag K is off by 2.8e-8: within is_tp's 1e-6.
+    # complement used to apply an absolute 1e-9 and rejected it, exit 3.
+    chan = td_channel(TDParams(2, -0.5))
+    scaled = Channel(KrausSet(2, 2, tuple(scale * K for K in chan.kraus.operators)))
+    if code:
+        with pytest.raises(NotTP):
+            complement(scaled)
+    else:
+        assert complement(scaled).d_out == len(chan.kraus.operators)
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps(channel_to_dict(scaled)))
+    argv = ["decide", "--mode", "antidegradable", "--channel", f"file:{path}"]
+    got, out, err = run_cli(argv, capsys)
+    assert got == code
+    if code:
+        assert out == "" and "trace-preserving" in err
+    else:
+        assert json.loads(out)["status"] == "YES"
 
 
 def test_decide_reads_a_channel_file(tmp_path, capsys):
@@ -338,6 +378,9 @@ def test_each_command_takes_only_the_tolerances_it_reads(command, capsys):
         ["decide", "--mode", "antidegradable"],  # no --channel
         ["decide", "--channel", "td:d=2,t=0", "--mode", "bogus"],
         ["sweep-eigs", "--d", "4"],
+        ["decide", "--channel", "td:d=2;t=0", "--mode", "antidegradable"],  # malformed parameter
+        ["decide", "--channel", "td:d=2,t=0,x=1", "--mode", "antidegradable"],  # unknown parameter
+        ["sweep-eigs", "--d", "2", "--t-start", "0.2", "--t-stop", "0.1"],  # empty grid
     ],
 )
 def test_usage_errors_are_input_errors(argv, capsys):
