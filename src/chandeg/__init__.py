@@ -7,7 +7,6 @@ from .channel import (
     KrausSet,
     SuperOp,
     apply,
-    apply_choi,
     complement,
 )
 from .zoo import (
@@ -28,7 +27,6 @@ __all__ = [
     "KrausSet",
     "SuperOp",
     "apply",
-    "apply_choi",
     "complement",
     "ClonerParams",
     "DepolParams",

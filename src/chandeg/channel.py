@@ -27,10 +27,17 @@ from .linalg import (
     hermitian_eigs,
     numeric_rank,
     psd_floor,
-    row_flatten,
 )
 
 SCHEMA_VERSION = 1
+
+
+def check_schema_version(doc: dict):
+    """Raise ValueError when doc carries a schema_version other than the
+    integer SCHEMA_VERSION (a bool is not one); a missing one is accepted."""
+    version = doc.get("schema_version", SCHEMA_VERSION)
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
 
 
 class DimensionMismatch(ValueError):
@@ -113,7 +120,7 @@ def kraus_to_choi(k: KrausSet) -> ChoiMatrix:
     n = k.d_in * k.d_out
     R = np.zeros((n, n), dtype=complex)
     for K in k.operators:
-        v = row_flatten(K.T)
+        v = K.T.reshape(-1)
         R += np.outer(v, v.conj())
     return ChoiMatrix(k.d_in, k.d_out, R)
 
@@ -138,7 +145,7 @@ def apply(M: SuperOp, rho) -> np.ndarray:
     r = np.asarray(rho, dtype=complex)
     if r.shape != (M.d_in, M.d_in):
         raise DimensionMismatch(f"state shape {r.shape} != ({M.d_in}, {M.d_in})")
-    return (row_flatten(r) @ M.matrix).reshape(M.d_out, M.d_out)
+    return (r.reshape(-1) @ M.matrix).reshape(M.d_out, M.d_out)
 
 
 def apply_adjoint(M: SuperOp, X) -> np.ndarray:
@@ -147,16 +154,7 @@ def apply_adjoint(M: SuperOp, X) -> np.ndarray:
     X = np.asarray(X, dtype=complex)
     if X.shape != (M.d_out, M.d_out):
         raise DimensionMismatch(f"operator shape {X.shape} != ({M.d_out}, {M.d_out})")
-    return (M.matrix @ row_flatten(X.T)).reshape(M.d_in, M.d_in).T
-
-
-def apply_choi(R: ChoiMatrix, rho) -> np.ndarray:
-    """Apply a channel via its Choi matrix: Tr_A[(rho^T (x) I_B) R]."""
-    r = np.asarray(rho, dtype=complex)
-    if r.shape != (R.d_in, R.d_in):
-        raise DimensionMismatch(f"state shape {r.shape} != ({R.d_in}, {R.d_in})")
-    R4 = R.matrix.reshape(R.d_in, R.d_out, R.d_in, R.d_out)
-    return np.einsum("mk,mlkn->ln", r, R4)
+    return (M.matrix @ X.T.reshape(-1)).reshape(M.d_in, M.d_in).T
 
 
 def is_cp(R: ChoiMatrix, tol: Tolerance = DEFAULT_TOL):
@@ -311,8 +309,9 @@ def channel_to_dict(c: Channel) -> dict:
 
 def channel_from_dict(doc: dict) -> Channel:
     try:
+        check_schema_version(doc)
         d_in, d_out = doc["d_in"], doc["d_out"]
         ops = tuple(from_pairs(K) for K in doc["kraus"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed channel document: {exc}") from exc
     return Channel(KrausSet(d_in, d_out, ops), label=str(doc.get("label", "")))

@@ -22,6 +22,7 @@ from .channel import (
     Channel,
     SuperOp,
     channel_from_dict,
+    check_schema_version,
     from_pairs,
     json_pieces,
 )
@@ -173,8 +174,9 @@ def cmd_capacity(args) -> int:
     rows = ["t,Q,base,method,status,cloner"]
     for t in grid:
         res = cap.td_complement_capacity(d, float(t))
-        # The cloners cover t in [0, 1/(d+1)], the top of the TD CP range.
-        cloner = 1 if 0.0 <= t and zoo.in_range(t, *zoo.td_cp_range(d)) else 0
+        # The cloners cover t in [0, 1/(d+1)], the top of the TD CP range;
+        # td_complement_capacity has rejected every t outside that range.
+        cloner = 1 if 0.0 <= t else 0
         rows.append(
             ",".join(
                 [
@@ -206,11 +208,16 @@ def cmd_verify(args) -> int:
     try:
         with open(args.certificate) as fh:
             doc = json.load(fh)
+        check_schema_version(doc)
         chan = parse_channel(doc["channel"])
         mode = Mode(doc["mode"])
         # A decide verdict nests its certificate; a stored certificate is flat.
-        if "status" in doc and "certificate" not in doc:
-            raise CliError(f"verdict {doc['status']} carries no certificate")
+        # Only a YES verdict claims that its certificate checks out.
+        if "status" in doc:
+            if "certificate" not in doc:
+                raise CliError(f"verdict {doc['status']} carries no certificate")
+            if doc["status"] != "YES":
+                raise CliError(f"verdict {doc['status']} is not YES; only a YES verdict is verified")
         body = doc["certificate"] if "certificate" in doc else doc
         cert = SuperOp(body["d_in"], body["d_out"], from_pairs(body["matrix"]))
     except (

@@ -30,9 +30,11 @@ import numpy as np
 
 # Kept only because perfbench/ names them; nothing in src/ uses them:
 # minimize, kernel_basis and candidate_map (patched here by tracer.PATCHES),
-# KernelFamily.basis, KernelFamily.kernel and _Directions (tracer.stack_bytes),
-# and SearchConfig.seed, SearchConfig.restarts and decide(search=)
-# (workloads.build_search).  The change that frees them deletes this list.
+# KernelFamily.basis and _Directions.__len__ (tracer.stack_bytes reads only
+# len(family.basis); only tests reach KernelFamily.kernel and
+# _Directions.__getitem__), and SearchConfig.seed, SearchConfig.restarts and
+# decide(search=) (workloads.build_search).  The change that frees them
+# deletes this list.
 from .capacity import minimize  # noqa: F401
 from .channel import (
     SCHEMA_VERSION,

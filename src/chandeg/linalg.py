@@ -1,8 +1,9 @@
-"""Dense linear-algebra kernel: flattening maps, pseudoinverse, rank, kernels.
+"""Dense linear-algebra kernel: pseudoinverse, rank, kernels, PSD rule.
 
-All matrix flattening in this package is row-major.  Every tolerance-sensitive
-operation reads a :class:`Tolerance`, passed in or ``DEFAULT_TOL``, so that
-rank decisions, PSD checks and residual tests stay consistent across modules.
+All matrix flattening in this package is row-major, ``A.reshape(-1)``.  Every
+tolerance-sensitive operation reads a :class:`Tolerance`, passed in or
+``DEFAULT_TOL``, so that rank decisions, PSD checks and residual tests stay
+consistent across modules.
 """
 
 from dataclasses import dataclass
@@ -41,12 +42,6 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
-
-
-def row_flatten(A):
-    """Flatten a matrix row by row into a 1-d vector."""
-    A = np.asarray(A)
-    return A.reshape(-1)
 
 
 def _rank(s, tol: Tolerance) -> int:

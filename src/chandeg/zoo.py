@@ -1,14 +1,15 @@
-"""Concrete channel families and their closed-form reference data.
+"""Concrete channel families and their parameter ranges.
 
 Contains the qudit transpose-depolarizing and depolarizing channels, the
 qubit transpose-depolarizing complement (the complement of the closed-form
-transpose-depolarizing Kraus set), the asymmetric-cloner parametrization, the
-mixed-symmetry positive map, and closed-form expressions for the antidegrading
-candidate of the qubit transpose-depolarizing channel.
+transpose-depolarizing Kraus set), the asymmetric-cloner parametrization and
+the t-intervals where the transpose-depolarizing channel is known
+antidegradable.  The paper's closed forms for the qubit antidegrading
+candidate, and the mixed-symmetry map, are test oracles in tests/conftest.py.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,23 +76,20 @@ class DepolParams:
 class ClonerParams:
     """Optimal universal asymmetric 1->1+1 cloner, asymmetry p in [0, 1].
 
-    alpha and beta are the nonnegative amplitude roots (signs are a gauge
-    choice; only the product enters t = 2*alpha*beta = p(1-p)/(1-p+p^2)).
+    The cloner is realized as the qubit TD complement at
+    t = p(1-p)/(1-p+p^2), twice the product of its two amplitudes.
     """
 
     p: float
-    alpha: float = field(init=False)
-    beta: float = field(init=False)
-    t: float = field(init=False)
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"asymmetry p must lie in [0, 1], got {self.p}")
+
+    @property
+    def t(self) -> float:
         p = self.p
-        norm = 2.0 * (1.0 - p + p * p)
-        object.__setattr__(self, "alpha", np.sqrt(p * p / norm))
-        object.__setattr__(self, "beta", np.sqrt((1.0 - p) ** 2 / norm))
-        object.__setattr__(self, "t", p * (1.0 - p) / (1.0 - p + p * p))
+        return p * (1.0 - p) / (1.0 - p + p * p)
 
 
 def _td_kraus(d, t):
@@ -160,32 +158,6 @@ def td_complement_qubit(t: float) -> Channel:
     return Channel(kraus, label=f"td-comp:t={t!r}")
 
 
-def mixed_symmetry_map(alpha: float, beta: float, d: int):
-    """Positive map rho -> (1/d) G (I (x) rho) G^dag with
-    G = (alpha+beta) P_sym + (alpha-beta) P_anti on C^d (x) C^d.
-
-    Returns a function acting on d x d matrices.  The output has unit trace
-    exactly when alpha^2 + alpha*beta + beta^2 = 1 (d = 2).
-    """
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
-    n = d * d
-    swap = np.zeros((n, n))
-    for i in range(d):
-        for j in range(d):
-            swap[i * d + j, j * d + i] = 1.0
-    p_sym = (np.eye(n) + swap) / 2
-    p_anti = (np.eye(n) - swap) / 2
-    G = (alpha + beta) * p_sym + (alpha - beta) * p_anti
-
-    def apply_map(rho):
-        rho = np.asarray(rho, dtype=complex)
-        big = G @ np.kron(np.eye(d), rho) @ G.conj().T
-        return big / d
-
-    return apply_map
-
-
 AntidegradableRange = namedtuple("AntidegradableRange", ["lo", "hi", "status"])
 
 
@@ -196,54 +168,3 @@ def known_antidegradable_range(d: int) -> AntidegradableRange:
     if d == 3:
         return AntidegradableRange(*td_cp_range(3), "numerical")
     raise Unsupported(f"no antidegradable range recorded for d={d}")
-
-
-def antidegrading_candidate_matrix(t: float) -> np.ndarray:
-    """Closed-form pseudoinverse candidate for the qubit antidegrading map.
-
-    16x4 superoperator mapping the 4-dimensional environment back to the
-    2-dimensional output; equals pinv(complement superop) @ channel superop.
-    """
-    s = np.sqrt(max(-3.0 * t * t - 2.0 * t + 1.0, 0.0))
-    den = 2.0 * (t - 1.0) * (3.0 * t * t + 1.0)
-    A = np.zeros((16, 4))
-    A[0, 0] = (3 * t**3 + t**2 + t - 1) / den
-    A[0, 3] = (3 * t**3 - t**2 + t + 1) / (-6 * t**3 + 6 * t**2 - 2 * t + 2)
-    A[1, 1] = t / (np.sqrt(2) * (1 - t))
-    A[3, 1] = t * s / (np.sqrt(2) * (1 - t**2))
-    A[4, 2] = t / (np.sqrt(2) * (1 - t))
-    A[5, 0] = (t + 1) / (6 * t**2 + 2)
-    A[5, 3] = (t + 1) / (6 * t**2 + 2)
-    A[6, 1] = t / (np.sqrt(2) * (1 - t))
-    A[7, 0] = t * s / (2 - 2 * t**2)
-    A[7, 3] = t * s / (2 * (t**2 - 1))
-    A[9, 2] = t / (np.sqrt(2) * (1 - t))
-    A[10, 0] = (3 * t**3 - t**2 + t + 1) / (-6 * t**3 + 6 * t**2 - 2 * t + 2)
-    A[10, 3] = (3 * t**3 + t**2 + t - 1) / den
-    A[11, 2] = t * s / (np.sqrt(2) * (t**2 - 1))
-    A[12, 2] = t * s / (np.sqrt(2) * (1 - t**2))
-    A[13, 0] = t * s / (2 - 2 * t**2)
-    A[13, 3] = t * s / (2 * (t**2 - 1))
-    A[14, 1] = t * s / (np.sqrt(2) * (t**2 - 1))
-    A[15, 0] = (1 - 3 * t) / (6 * t**2 + 2)
-    A[15, 3] = (1 - 3 * t) / (6 * t**2 + 2)
-    return A
-
-
-def candidate_choi_eigenvalues(t: float):
-    """The three distinct Choi eigenvalues of the qubit antidegrading
-    candidate, as closed forms (lam1, lam2, lam3).
-
-    Singular at t = -1 (the complement's superoperator loses rank there);
-    the square-root argument is clipped at 0 near t = 1/3 where the two
-    branch eigenvalues merge.
-    """
-    den1 = 2.0 * (t - 1.0) * (3.0 * t * t + 1.0)
-    lam1 = (-3.0 * t**3 + t**2 - t - 1.0) / den1
-    disc = -18.0 * t**6 - 6.0 * t**5 + t**4 - 8.0 * t**3 - 2.0 * t + 1.0
-    root = np.sqrt(max(disc, 0.0))
-    den23 = 2.0 * (t - 1.0) * (t + 1.0) * (3.0 * t * t + 1.0)
-    num = 3.0 * t**4 + 2.0 * t**3 + 2.0 * t**2 + 2.0 * t - 1.0
-    lam2 = (num + 2.0 * t * root) / den23
-    lam3 = (num - 2.0 * t * root) / den23
-    return lam1, lam2, lam3

@@ -10,7 +10,6 @@ from chandeg.channel import (
     Channel,
     KrausSet,
     apply,
-    apply_choi,
     choi_to_superop,
     complement,
     superop_to_choi,
@@ -23,18 +22,22 @@ from chandeg.degradability import (
     kernel_family,
     verify_certificate,
 )
-from chandeg.linalg import numeric_rank, row_flatten
+from chandeg.linalg import numeric_rank
 from chandeg.zoo import (
     DepolParams,
     TDParams,
-    antidegrading_candidate_matrix,
-    candidate_choi_eigenvalues,
     depolarizing,
     td_channel,
 )
 from chandeg.channel import SuperOp
 
-from conftest import fixture_certificate_matrix, random_channel, random_state
+from conftest import (
+    apply_choi,
+    candidate_choi_eigenvalues,
+    fixture_certificate_matrix,
+    random_channel,
+    random_state,
+)
 
 
 def _antidegrading_candidate(t):
@@ -56,13 +59,6 @@ def test_candidate_choi_eigenvalues_closed_form_grid():
         for lam in (lam1, lam2, lam3):
             assert np.min(np.abs(w - lam)) <= 1e-8, (t, lam, w)
     assert time.perf_counter() - start < 5.0
-
-
-def test_candidate_matrix_closed_form_entrywise():
-    """Pseudoinverse candidate equals the closed-form 16x4 matrix entrywise."""
-    for t in (-2.0 / 3.0, -0.25, 0.25):
-        cand = _antidegrading_candidate(t)
-        npt.assert_allclose(cand.matrix, antidegrading_candidate_matrix(t), atol=1e-8)
 
 
 def test_shipped_certificate_properties():
@@ -167,10 +163,10 @@ def test_representation_coherence(rng):
         B = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         C = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         npt.assert_allclose(
-            row_flatten((A @ B @ C).T), np.kron(C.T, A) @ row_flatten(B.T), atol=1e-9
+            (A @ B @ C).T.reshape(-1), np.kron(C.T, A) @ B.T.reshape(-1), atol=1e-9
         )
         npt.assert_allclose(
-            np.trace(A.conj().T @ B), np.vdot(row_flatten(A), row_flatten(B)), atol=1e-9
+            np.trace(A.conj().T @ B), np.vdot(A.reshape(-1), B.reshape(-1)), atol=1e-9
         )
 
         assert numeric_rank(np.kron(A, B)) == numeric_rank(A) * numeric_rank(B)

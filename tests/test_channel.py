@@ -14,7 +14,6 @@ from chandeg.channel import (
     NotTP,
     SuperOp,
     apply,
-    apply_choi,
     channel_from_dict,
     channel_to_dict,
     choi_rank,
@@ -31,7 +30,7 @@ from chandeg.channel import (
 )
 from chandeg.zoo import TDParams, td_channel
 
-from conftest import is_unital, random_channel, random_state
+from conftest import apply_choi, is_unital, random_channel, random_state
 
 
 def identity_channel(d):
@@ -96,8 +95,6 @@ def test_apply_dimension_mismatch():
     c = identity_channel(2)
     with pytest.raises(DimensionMismatch):
         apply(c.superop, np.eye(3) / 3)
-    with pytest.raises(DimensionMismatch):
-        apply_choi(c.choi, np.eye(3) / 3)
 
 
 @pytest.mark.parametrize("dims", [(0, 2), (2, -4), (4.7, 2), (2, 2.0), (True, 2), (2, False)])

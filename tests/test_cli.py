@@ -238,6 +238,20 @@ def test_verify_of_a_verdict_without_certificate(tmp_path, capsys):
     assert err == "error: verdict NO carries no certificate\n"
 
 
+@pytest.mark.parametrize("status", ["NO", "INCONCLUSIVE"])
+def test_verify_of_a_verdict_that_is_not_yes(tmp_path, capsys, status):
+    # A YES verdict with its status rewritten used to verify: exit 0, "ok": true.
+    verdict = tmp_path / "v.json"
+    argv = ["decide", "--channel", "td:d=2,t=-0.5", "--mode", "antidegradable"]
+    assert run_cli(argv + ["--output", str(verdict)], capsys)[0] == 0
+    doc = json.loads(verdict.read_text())
+    assert doc["status"] == "YES" and "certificate" in doc
+    verdict.write_text(json.dumps({**doc, "status": status}))
+    code, out, err = run_cli(["verify", "--certificate", str(verdict)], capsys)
+    assert code == 3 and out == ""
+    assert err == f"error: verdict {status} is not YES; only a YES verdict is verified\n"
+
+
 def _json_with(doc, key, literal):
     """doc as JSON text with the value of key written as the literal."""
     return json.dumps({**doc, key: "@"}).replace('"@"', literal)
@@ -276,13 +290,22 @@ ONE_TO_QUBIT = {"d_out": 2, "kraus": [[[[1.0, 0.0]], [[0.0, 0.0]]], [[[0.0, 0.0]
         (["decide", "--mode", "degradable", "--channel"],
          json.dumps({"d_in": 2, "d_out": 2,
                      "kraus": [[[[True, False], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]})),
+        # schema_version was never read: each of these verified or decided.
+        (VERIFY, _json_with(CERT, "schema_version", "99")),
+        (VERIFY, _json_with(CERT, "schema_version", '"x"')),
+        (VERIFY, _json_with(CERT, "schema_version", "true")),
+        (VERIFY, _json_with(CERT, "schema_version", "1.0")),
+        (["decide", "--mode", "degradable", "--channel"], _json_with(CHANNEL, "schema_version", "99")),
+        (["decide", "--mode", "degradable", "--channel"],
+         _json_with(CHANNEL, "schema_version", "true")),
     ],
     ids=[
         "channel-not-a-string", "d_in-infinite", "entry-400-digits", "d_in-negative",
         "d_in-fractional", "channel-d_in-1e400", "channel-d_in-fractional",
         "channel-d_in-true", "channel-nested-deep", "nested-deep", "channel-no-kraus",
         "channel-kraus-wrong-shape", "matrix-wrong-shape", "entry-boolean",
-        "channel-entry-boolean",
+        "channel-entry-boolean", "schema-99", "schema-string", "schema-true", "schema-float",
+        "channel-schema-99", "channel-schema-true",
     ],
 )
 def test_malformed_stored_input_is_an_input_error(tmp_path, capsys, argv, text):
@@ -293,6 +316,15 @@ def test_malformed_stored_input_is_an_input_error(tmp_path, capsys, argv, text):
     assert code == 3 and out == ""
     prefix = "error: unreadable certificate: " if argv == VERIFY else "error: "
     assert err.startswith(prefix) and err.count("\n") == 1
+
+
+def test_missing_schema_version_is_accepted(tmp_path, capsys):
+    cert, chan = tmp_path / "cert.json", tmp_path / "chan.json"
+    cert.write_text(json.dumps({k: v for k, v in CERT.items() if k != "schema_version"}))
+    chan.write_text(json.dumps({k: v for k, v in CHANNEL.items() if k != "schema_version"}))
+    assert run_cli(["verify", "--certificate", str(cert)], capsys)[0] == 0
+    argv = ["decide", "--mode", "antidegradable", "--channel", f"file:{chan}"]
+    assert run_cli(argv, capsys)[0] == 0
 
 
 @pytest.mark.parametrize("scale, code", [(1 + 1e-8, 0), (1 + 1e-5, 3)])

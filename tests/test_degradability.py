@@ -40,13 +40,18 @@ from chandeg.linalg import numeric_rank
 from chandeg.zoo import (
     DepolParams,
     TDParams,
-    antidegrading_candidate_matrix,
     depolarizing,
     td_channel,
     td_complement_qubit,
 )
 
-from conftest import fixture_certificate_matrix, haar_isometry, random_channel, random_state
+from conftest import (
+    antidegrading_candidate_matrix,
+    fixture_certificate_matrix,
+    haar_isometry,
+    random_channel,
+    random_state,
+)
 
 
 def check_witness(channel, mode, witness):

@@ -9,20 +9,7 @@ from chandeg.linalg import (
     kernel_basis,
     numeric_rank,
     pseudoinverse,
-    row_flatten,
 )
-
-
-def test_row_flatten_enumerates_rows_first():
-    npt.assert_array_equal(row_flatten(np.array([[1, 2], [3, 4]])), [1, 2, 3, 4])
-    npt.assert_array_equal(row_flatten(np.eye(2)), [1, 0, 0, 1])
-    npt.assert_array_equal(row_flatten(np.array([[3.5]])), [3.5])
-
-
-def test_flatten_round_trip(rng):
-    for _ in range(100):
-        A = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-        npt.assert_array_equal(row_flatten(A).reshape(3, 2), A)
 
 
 def test_kron_identity():
@@ -35,8 +22,8 @@ def test_kron_product_identity(rng):
         A = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         B = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         C = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        lhs = row_flatten((A @ B @ C).T)
-        rhs = np.kron(C.T, A) @ row_flatten(B.T)
+        lhs = (A @ B @ C).T.reshape(-1)
+        rhs = np.kron(C.T, A) @ B.T.reshape(-1)
         npt.assert_allclose(lhs, rhs, atol=1e-12)
 
 
@@ -52,7 +39,7 @@ def test_inner_product_identity(rng):
         A = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         B = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         npt.assert_allclose(
-            np.trace(A.conj().T @ B), np.vdot(row_flatten(A), row_flatten(B)), atol=1e-12
+            np.trace(A.conj().T @ B), np.vdot(A.reshape(-1), B.reshape(-1)), atol=1e-12
         )
 
 

@@ -9,17 +9,21 @@ from chandeg.zoo import (
     OutOfCPRange,
     TDParams,
     Unsupported,
-    antidegrading_candidate_matrix,
-    candidate_choi_eigenvalues,
     depolarizing,
     known_antidegradable_range,
-    mixed_symmetry_map,
     td_channel,
     td_complement_qubit,
     td_cp_range,
 )
 
-from conftest import fixture_certificate_matrix, is_unital, random_state
+from conftest import (
+    antidegrading_candidate_matrix,
+    candidate_choi_eigenvalues,
+    fixture_certificate_matrix,
+    is_unital,
+    mixed_symmetry_map,
+    random_state,
+)
 
 
 def test_td_params_range():
@@ -189,10 +193,12 @@ def test_cloner_params():
     assert np.isclose(ClonerParams(0.0).t, 0.0)
     assert np.isclose(ClonerParams(1.0).t, 0.0)
     assert np.isclose(ClonerParams(1 / 3).t, 2 / 7)
-    p = ClonerParams(0.3)
-    assert np.isclose(2 * p.alpha * p.beta, p.t)
+    p = 0.3
+    norm = np.sqrt(2 * (1 - p + p * p))
+    alpha, beta = p / norm, (1 - p) / norm
+    assert np.isclose(2 * alpha * beta, ClonerParams(p).t)
     # the amplitude normalization puts (alpha, beta) at half the ellipse value
-    assert np.isclose(p.alpha**2 + p.alpha * p.beta + p.beta**2, 0.5)
+    assert np.isclose(alpha**2 + alpha * beta + beta**2, 0.5)
     with pytest.raises(ValueError):
         ClonerParams(1.5)
 
