@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Channel, apply, apply_adjoint, complement
-from .linalg import hermitian_part, psd_floor
+from .linalg import hermitian_eigs, psd_floor
 from .zoo import in_range, known_antidegradable_range, require_in_range, td_cp_range
 
 
@@ -55,7 +55,7 @@ def _spectrum(m):
     eigendecomposition of m's Hermitian part.  Eigenvalues at or below the
     cut ``-psd_floor(m)`` count as zero: they are left out of the entropy
     (0 log 0 = 0, no renormalization)."""
-    w, v = np.linalg.eigh(hermitian_part(m))
+    w, v = hermitian_eigs(m)
     cut = -psd_floor(m)
     kept = w[w > cut]
     return -float(np.sum(kept * np.log(kept))), w, v, cut

@@ -55,6 +55,15 @@ def _check_dims(d_in, d_out):
             raise ValueError(f"dimensions must be integers >= 1, got ({d_in!r}, {d_out!r})")
 
 
+def _shaped(a, shape, what) -> np.ndarray:
+    """a as a complex array; DimensionMismatch unless its shape is shape,
+    each dimension of which the message prints with str."""
+    a = np.asarray(a, dtype=complex)
+    if a.shape != shape:
+        raise DimensionMismatch(f"{what} shape {a.shape} != ({', '.join(map(str, shape))})")
+    return a
+
+
 @dataclass(frozen=True)
 class KrausSet:
     """Ordered list of d_out x d_in Kraus operators."""
@@ -65,14 +74,10 @@ class KrausSet:
 
     def __post_init__(self):
         _check_dims(self.d_in, self.d_out)
-        ops = tuple(np.asarray(K, dtype=complex) for K in self.operators)
+        shape = (self.d_out, self.d_in)
+        ops = tuple(_shaped(K, shape, "Kraus operator") for K in self.operators)
         if not ops:
             raise ValueError("KrausSet requires at least one operator")
-        for K in ops:
-            if K.shape != (self.d_out, self.d_in):
-                raise DimensionMismatch(
-                    f"Kraus operator shape {K.shape} != ({self.d_out}, {self.d_in})"
-                )
         object.__setattr__(self, "operators", ops)
 
 
@@ -86,11 +91,8 @@ class ChoiMatrix:
 
     def __post_init__(self):
         _check_dims(self.d_in, self.d_out)
-        m = np.asarray(self.matrix, dtype=complex)
         n = self.d_in * self.d_out
-        if m.shape != (n, n):
-            raise DimensionMismatch(f"Choi matrix shape {m.shape} != ({n}, {n})")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _shaped(self.matrix, (n, n), "Choi matrix"))
 
 
 @dataclass(frozen=True)
@@ -103,12 +105,8 @@ class SuperOp:
 
     def __post_init__(self):
         _check_dims(self.d_in, self.d_out)
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (self.d_in**2, self.d_out**2):
-            raise DimensionMismatch(
-                f"superoperator shape {m.shape} != ({self.d_in**2}, {self.d_out**2})"
-            )
-        object.__setattr__(self, "matrix", m)
+        shape = (self.d_in**2, self.d_out**2)
+        object.__setattr__(self, "matrix", _shaped(self.matrix, shape, "superoperator"))
 
 
 def kraus_to_choi(k: KrausSet) -> ChoiMatrix:
@@ -142,18 +140,14 @@ def superop_to_choi(M: SuperOp) -> ChoiMatrix:
 
 def apply(M: SuperOp, rho) -> np.ndarray:
     """Apply a channel in superoperator form: row(rho) @ M, reshaped to d_out x d_out."""
-    r = np.asarray(rho, dtype=complex)
-    if r.shape != (M.d_in, M.d_in):
-        raise DimensionMismatch(f"state shape {r.shape} != ({M.d_in}, {M.d_in})")
+    r = _shaped(rho, (M.d_in, M.d_in), "state")
     return (r.reshape(-1) @ M.matrix).reshape(M.d_out, M.d_out)
 
 
 def apply_adjoint(M: SuperOp, X) -> np.ndarray:
     """Apply the adjoint channel, defined by Tr[X M(rho)] = Tr[M^dag(X) rho]:
     M^dag(X) is M @ row(X^T), reshaped to d_in x d_in and transposed."""
-    X = np.asarray(X, dtype=complex)
-    if X.shape != (M.d_out, M.d_out):
-        raise DimensionMismatch(f"operator shape {X.shape} != ({M.d_out}, {M.d_out})")
+    X = _shaped(X, (M.d_out, M.d_out), "operator")
     return (M.matrix @ X.T.reshape(-1)).reshape(M.d_in, M.d_in).T
 
 
@@ -189,7 +183,6 @@ class Channel:
     """Immutable channel with all three representations cached eagerly."""
 
     kraus: KrausSet
-    label: str = ""
     choi: ChoiMatrix = field(init=False)
     superop: SuperOp = field(init=False)
 
@@ -222,8 +215,7 @@ def complement(c: Channel) -> Channel:
     k = c.kraus
     stack = np.array(k.operators)  # (d_E, d_out, d_in)
     ops = tuple(stack[:, j, :].copy() for j in range(k.d_out))
-    name = f"complement({c.label})" if c.label else "complement"
-    return Channel(KrausSet(k.d_in, stack.shape[0], ops), label=name)
+    return Channel(KrausSet(k.d_in, stack.shape[0], ops))
 
 
 def choi_rank(c: Channel, tol: Tolerance = DEFAULT_TOL) -> int:
@@ -300,7 +292,6 @@ def json_pieces(doc):
 def channel_to_dict(c: Channel) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
-        "label": c.label,
         "d_in": c.d_in,
         "d_out": c.d_out,
         "kraus": [to_pairs(K) for K in c.kraus.operators],
@@ -308,10 +299,12 @@ def channel_to_dict(c: Channel) -> dict:
 
 
 def channel_from_dict(doc: dict) -> Channel:
+    """The channel of a channel_to_dict document; other keys, such as the
+    "label" of older files, are ignored."""
     try:
         check_schema_version(doc)
         d_in, d_out = doc["d_in"], doc["d_out"]
         ops = tuple(from_pairs(K) for K in doc["kraus"])
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed channel document: {exc}") from exc
-    return Channel(KrausSet(d_in, d_out, ops), label=str(doc.get("label", "")))
+    return Channel(KrausSet(d_in, d_out, ops))

@@ -246,6 +246,13 @@ def build_parser():
         for name in tolerances:
             p.add_argument(f"--{name}-tol", type=float, default=argparse.SUPPRESS)
 
+    def grid(p):
+        """--d and the t grid flags of a TD curve."""
+        p.add_argument("--d", type=int, required=True, choices=[2, 3])
+        p.add_argument("--t-start", type=float, default=None)
+        p.add_argument("--t-stop", type=float, default=None)
+        p.add_argument("--t-points", type=int, default=100)
+
     p = sub.add_parser("decide", help="decide one degradability mode")
     p.add_argument("--channel", required=True)
     p.add_argument("--mode", required=True, choices=[m.value for m in Mode])
@@ -256,18 +263,12 @@ def build_parser():
     p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("sweep-eigs", help="candidate Choi eigenvalues vs t (CSV)")
-    p.add_argument("--d", type=int, required=True, choices=[2, 3])
-    p.add_argument("--t-start", type=float, default=None)
-    p.add_argument("--t-stop", type=float, default=None)
-    p.add_argument("--t-points", type=int, default=100)
+    grid(p)
     common(p, "rank")
     p.set_defaults(func=cmd_sweep_eigs)
 
     p = sub.add_parser("capacity", help="capacity curve of the TD complement (CSV)")
-    p.add_argument("--d", type=int, required=True, choices=[2, 3])
-    p.add_argument("--t-start", type=float, default=None)
-    p.add_argument("--t-stop", type=float, default=None)
-    p.add_argument("--t-points", type=int, default=100)
+    grid(p)
     common(p)
     p.set_defaults(func=cmd_capacity)
 

@@ -21,20 +21,16 @@ accelerated by FISTA momentum (Beck & Teboulle, SIAM J. Imaging Sci. 2
 (2015)).  Every consistent system with more than one solution is searched.
 """
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
 # Kept only because perfbench/ names them; nothing in src/ uses them:
 # minimize, kernel_basis and candidate_map (patched here by tracer.PATCHES),
-# KernelFamily.basis and _Directions.__len__ (tracer.stack_bytes reads only
-# len(family.basis); only tests reach KernelFamily.kernel and
-# _Directions.__getitem__), and SearchConfig.seed, SearchConfig.restarts and
-# decide(search=) (workloads.build_search).  The change that frees them
-# deletes this list.
+# KernelFamily.basis (tracer.stack_bytes reads only len(family.basis)), and
+# SearchConfig.seed, SearchConfig.restarts and decide(search=)
+# (workloads.build_search).  The change that frees them deletes this list.
 from .capacity import minimize  # noqa: F401
 from .channel import (
     SCHEMA_VERSION,
@@ -59,6 +55,7 @@ from .linalg import (  # noqa: F401  (kernel_basis: see above)
     psd_floor,
     pseudoinverse,
 )
+
 
 class Mode(str, Enum):
     DEGRADABLE = "degradable"
@@ -131,16 +128,10 @@ class KernelFamily:
         rows, cols = self.base.matrix.shape
         return (rows - self.rowspace.shape[0]) * cols
 
-    @cached_property
-    def kernel(self) -> np.ndarray:
-        """K, with orthonormal columns."""
-        rank = self.rowspace.shape[0]
-        return np.linalg.qr(self.rowspace.conj().T, mode="complete")[0][:, rank:]
-
     @property
     def basis(self):
-        """The directions kron(k_i, e_j), each built when indexed."""
-        return _Directions(self)
+        """range(kernel_dim), one index per direction kron(k_i, e_j)."""
+        return range(self.kernel_dim)
 
     def project(self, D):
         """The trace-preserving member nearest to D: D0 + K K^H D (with
@@ -189,20 +180,6 @@ class KernelFamily:
         X += T
         X *= 0.5
         return X
-
-
-class _Directions(Sequence):
-    def __init__(self, family: KernelFamily):
-        self._family = family
-
-    def __len__(self):
-        return self._family.kernel_dim
-
-    def __getitem__(self, index):
-        if not 0 <= index < len(self):
-            raise IndexError(index)
-        cols = self._family.base.matrix.shape[1]
-        return np.kron(self._family.kernel[:, index // cols], np.eye(cols)[index % cols])
 
 
 def _residual(known, D, target, tol: Tolerance):

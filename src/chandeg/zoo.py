@@ -105,26 +105,23 @@ def _td_kraus(d, t):
     lam_sym = (1.0 + (d - 1) * t) / d
     lam_anti = (1.0 - (d + 1) * t) / d
     ops = []
-    for i in reversed(range(d)):
-        for j in reversed(range(i, d)):
-            v = np.zeros((d, d), dtype=complex)
-            if i == j:
-                v[i, i] = 1.0
-            else:
-                v[i, j] = v[j, i] = 1.0 / np.sqrt(2)
-            ops.append(np.sqrt(max(lam_sym, 0.0)) * v.T)
-    for i in reversed(range(d)):
-        for j in reversed(range(i + 1, d)):
-            v = np.zeros((d, d), dtype=complex)
-            v[i, j] = 1.0 / np.sqrt(2)
-            v[j, i] = -1.0 / np.sqrt(2)
-            ops.append(np.sqrt(max(lam_anti, 0.0)) * v.T)
+    # (sign of the (j, i) entry, Choi eigenvalue, offset of the first j from i)
+    for sign, lam, first in ((1.0, lam_sym, 0), (-1.0, lam_anti, 1)):
+        for i in reversed(range(d)):
+            for j in reversed(range(i + first, d)):
+                v = np.zeros((d, d), dtype=complex)
+                if i == j:
+                    v[i, i] = 1.0
+                else:
+                    v[i, j] = 1.0 / np.sqrt(2)
+                    v[j, i] = sign / np.sqrt(2)
+                ops.append(np.sqrt(max(lam, 0.0)) * v.T)
     return KrausSet(d, d, tuple(ops))
 
 
 def td_channel(params: TDParams) -> Channel:
     """Qudit transpose-depolarizing channel rho -> t*rho^T + (1-t)*I/d."""
-    return Channel(_td_kraus(params.d, params.t), label=f"td:d={params.d},t={params.t!r}")
+    return Channel(_td_kraus(params.d, params.t))
 
 
 def _weyl_ops(d):
@@ -148,14 +145,13 @@ def depolarizing(params: DepolParams) -> Channel:
     for idx, W in enumerate(_weyl_ops(d)):
         weight = w0 if idx == 0 else w_rest
         ops.append(np.sqrt(max(weight, 0.0)) * W)
-    return Channel(KrausSet(d, d, tuple(ops)), label=f"depol:d={d},s={s!r}")
+    return Channel(KrausSet(d, d, tuple(ops)))
 
 
 def td_complement_qubit(t: float) -> Channel:
     """The qubit transpose-depolarizing complement as a channel C^2 -> C^4:
     the complement of the closed-form Kraus set of td_channel(TDParams(2, t))."""
-    kraus = complement(td_channel(TDParams(2, t))).kraus
-    return Channel(kraus, label=f"td-comp:t={t!r}")
+    return complement(td_channel(TDParams(2, t)))
 
 
 AntidegradableRange = namedtuple("AntidegradableRange", ["lo", "hi", "status"])

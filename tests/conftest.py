@@ -31,6 +31,16 @@ def random_channel(rng, d_in, d_out, d_env):
     return Channel(KrausSet(d_in, d_out, tuple(blocks[e] for e in range(d_env))))
 
 
+def kernel_directions(fam):
+    """The directions kron(k_i, e_j) of a KernelFamily, as vectors in the
+    order (i, j): the k_i are the null-space columns of a complete QR of
+    fam.rowspace^H, orthonormal, and e_j runs over the base's columns."""
+    rank = fam.rowspace.shape[0]
+    K = np.linalg.qr(fam.rowspace.conj().T, mode="complete")[0][:, rank:]
+    E = np.eye(fam.base.matrix.shape[1])
+    return [np.kron(k, e) for k in K.T for e in E]
+
+
 def apply_choi(R: ChoiMatrix, rho) -> np.ndarray:
     """Apply a channel via its Choi matrix: Tr_A[(rho^T (x) I_B) R]."""
     r = np.asarray(rho, dtype=complex)

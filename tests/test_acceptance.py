@@ -1,14 +1,12 @@
 """End-to-end acceptance checks, one per headline guarantee of the package."""
 
 import time
-from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 
 from chandeg.channel import (
-    Channel,
-    KrausSet,
+    SuperOp,
     apply,
     choi_to_superop,
     complement,
@@ -23,13 +21,7 @@ from chandeg.degradability import (
     verify_certificate,
 )
 from chandeg.linalg import numeric_rank
-from chandeg.zoo import (
-    DepolParams,
-    TDParams,
-    depolarizing,
-    td_channel,
-)
-from chandeg.channel import SuperOp
+from chandeg.zoo import TDParams, td_channel
 
 from conftest import (
     apply_choi,
@@ -173,15 +165,3 @@ def test_representation_coherence(rng):
         assert numeric_rank(c.superop.matrix.T) == numeric_rank(c.superop.matrix)
         assert numeric_rank(A @ B) <= min(numeric_rank(A), numeric_rank(B))
 
-
-def test_td_equals_rotated_depolarizing(rng):
-    """Qubit transpose-depolarizing action equals sigma_Y-conjugated
-    depolarizing with the sign-flipped parameter, entrywise."""
-    sy = np.array([[0, -1j], [1j, 0]])
-    for t in np.linspace(-1.0 / 3.0, 1.0 / 3.0, 15):
-        td = td_channel(TDParams(2, float(t)))
-        dep = depolarizing(DepolParams(2, float(-t)))
-        for _ in range(3):
-            rho = random_state(rng, 2)
-            rotated = sy @ apply(dep.superop, rho) @ sy
-            npt.assert_allclose(rotated, apply(td.superop, rho), atol=1e-10)

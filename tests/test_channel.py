@@ -14,6 +14,7 @@ from chandeg.channel import (
     NotTP,
     SuperOp,
     apply,
+    apply_adjoint,
     channel_from_dict,
     channel_to_dict,
     choi_rank,
@@ -28,6 +29,7 @@ from chandeg.channel import (
     superop_to_choi,
     to_pairs,
 )
+from chandeg.degradability import Mode, Query, decide, verdict_to_dict
 from chandeg.zoo import TDParams, td_channel
 
 from conftest import apply_choi, is_unital, random_channel, random_state
@@ -95,6 +97,29 @@ def test_apply_dimension_mismatch():
     c = identity_channel(2)
     with pytest.raises(DimensionMismatch):
         apply(c.superop, np.eye(3) / 3)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: KrausSet(np.int64(2), 3, (np.zeros((2, 2)),)),
+            "Kraus operator shape (2, 2) != (3, 2)",
+        ),
+        (lambda: ChoiMatrix(2, 2, np.zeros((3, 3))), "Choi matrix shape (3, 3) != (4, 4)"),
+        (lambda: SuperOp(2, 3, np.zeros((4, 4))), "superoperator shape (4, 4) != (4, 9)"),
+        (lambda: apply(identity_channel(2).superop, np.ones(4)), "state shape (4,) != (2, 2)"),
+        (
+            lambda: apply_adjoint(identity_channel(2).superop, np.eye(3)),
+            "operator shape (3, 3) != (2, 2)",
+        ),
+    ],
+)
+def test_dimension_mismatch_messages(build, message):
+    # an integer dimension prints as its value, whatever its integer type
+    with pytest.raises(DimensionMismatch) as info:
+        build()
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("dims", [(0, 2), (2, -4), (4.7, 2), (2, 2.0), (True, 2), (2, False)])
@@ -223,6 +248,20 @@ def test_channel_json_round_trip(rng):
     npt.assert_allclose(c2.superop.matrix, c.superop.matrix, atol=1e-12)
     with pytest.raises(ValueError):
         channel_from_dict({"d_in": 2})
+
+
+def test_channel_document_with_a_label_still_reads():
+    # older channel files carry a "label" key; it is read past
+    doc = channel_to_dict(td_channel(TDParams(3, -0.3)))
+    plain = {key: value for key, value in doc.items() if key != "label"}
+    labelled = {**plain, "label": "td:d=3,t=-0.3"}
+    verdicts = [
+        "".join(json_pieces(verdict_to_dict(decide(Query(channel_from_dict(d), mode)))))
+        for d in (plain, labelled)
+        for mode in (Mode.ANTIDEGRADABLE, Mode.DEGRADABLE)
+    ]
+    assert verdicts[:2] == verdicts[2:]
+    assert '"status": "YES"' in verdicts[0]
 
 
 REALS = st.sampled_from([-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf]) | st.floats()

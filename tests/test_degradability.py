@@ -49,6 +49,7 @@ from conftest import (
     antidegrading_candidate_matrix,
     fixture_certificate_matrix,
     haar_isometry,
+    kernel_directions,
     random_channel,
     random_state,
 )
@@ -163,8 +164,9 @@ def test_kernel_family_qubit_antidegradable():
     comp = complement(chan)
     fam = kernel_family(comp.superop, chan.superop)
     # complement superop is 16x4 with rank 4 -> 12 null directions x 4 columns
-    assert len(fam.basis) == 48 == fam.kernel_dim
-    B = np.array([b.reshape(16, 4) for b in fam.basis])
+    directions = kernel_directions(fam)
+    assert len(fam.basis) == 48 == fam.kernel_dim == len(directions)
+    B = np.array([b.reshape(16, 4) for b in directions])
     npt.assert_allclose(comp.superop.matrix @ B, 0, atol=1e-12)
     gram = np.einsum("mij,nij->mn", B.conj(), B)
     npt.assert_allclose(gram, np.eye(48), atol=1e-12)
@@ -174,9 +176,11 @@ def test_kernel_family_members_solve_the_system(rng):
     chan = td_channel(TDParams(2, -0.5))
     comp = complement(chan)
     fam = kernel_family(comp.superop, chan.superop)
+    directions = kernel_directions(fam)
+    assert len(fam.basis) == 48 == fam.kernel_dim == len(directions)
     for _ in range(5):
         coeffs = rng.normal(size=48) + 1j * rng.normal(size=48)
-        D = fam.base.matrix + sum(a * b.reshape(16, 4) for a, b in zip(coeffs, fam.basis))
+        D = fam.base.matrix + sum(a * b.reshape(16, 4) for a, b in zip(coeffs, directions))
         resid = np.linalg.norm(comp.superop.matrix @ D - chan.superop.matrix)
         assert resid < 1e-10
         # the nearest trace-preserving member solves the system too

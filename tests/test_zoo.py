@@ -78,11 +78,11 @@ def test_depolarizing_action(rng):
 
 
 def test_td_equals_rotated_depolarizing(rng):
-    # sigma_Y . D_{s=-t}(rho) . sigma_Y = T_t(rho) for qubits
+    # sigma_Y . D_{s=-t}(rho) . sigma_Y = T_t(rho) for qubits, entrywise
     sy = np.array([[0, -1j], [1j, 0]])
-    for t in np.linspace(-1 / 3, 1 / 3, 9):
-        td = td_channel(TDParams(2, t))
-        dep = depolarizing(DepolParams(2, -t))
+    for t in np.linspace(-1 / 3, 1 / 3, 15):
+        td = td_channel(TDParams(2, float(t)))
+        dep = depolarizing(DepolParams(2, float(-t)))
         for _ in range(3):
             rho = random_state(rng, 2)
             rotated = sy @ apply(dep.superop, rho) @ sy
@@ -142,12 +142,13 @@ def test_td_complement_qubit_mixed_input():
 
 def test_td_complement_qubit_equals_complement_route(rng):
     # the qubit complement is built from the closed-form TD Kraus set, so the
-    # two routes agree bit for bit, Kraus operators included
+    # two routes agree bit for bit in every representation
     for t in (-0.6, -0.1, 0.25):
         direct = td_complement_qubit(t)
         via_complement = complement(td_channel(TDParams(2, t)))
         npt.assert_array_equal(direct.kraus.operators, via_complement.kraus.operators)
-        assert direct.label == f"td-comp:t={t!r}"
+        npt.assert_array_equal(direct.choi.matrix, via_complement.choi.matrix)
+        npt.assert_array_equal(direct.superop.matrix, via_complement.superop.matrix)
 
 
 def test_td_complement_qubit_range():
