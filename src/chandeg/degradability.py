@@ -18,7 +18,10 @@ an affine set A, and ``kernel_search`` decides whether A meets the PSD Choi
 cone by alternating projections (Bauschke & Borwein, SIAM Review 38 (1996))
 accelerated by FISTA momentum (Beck & Teboulle, SIAM J. Imaging Sci. 2
 (2009)) with adaptive restart (O'Donoghue & Candes, Found. Comput. Math. 15
-(2015)).  Every consistent system with more than one solution is searched.
+(2015)).  At the iterations where it tests for a NO witness, the search
+also probes for a YES along its step: a concave line search for a point of A
+whose Choi matrix is PSD.  Every consistent system with more than one
+solution is searched.
 """
 
 from dataclasses import dataclass, field
@@ -239,8 +242,23 @@ def kernel_search(family: KernelFamily, cfg: SearchConfig):
     mu = max(0, -lambda_min(P - X)), is PSD; it is returned as a Witness when
     <Z, X> < psd_floor(X) * Tr(Z).
 
+    Where the witness test fails, a YES probe looks along the step for an
+    interior point, so that a set with room inside it is settled at the
+    first test and not only once the momentum overshoots into the cone.
+    Y = R - s L(N) is a point of A for every s, lambda_min(Y) is concave in
+    s, and s = 0 gives R and s = 1 gives X.  The probe takes s = 2, 4, 8, ...
+    while lambda_min(Y) rises and returns the first Y that is PSD within
+    psd_tol.  A witness Z has <Z, Y> = margin < psd_floor * Tr(Z) on all of
+    A, while a Y with lambda_min(Y) >= psd_floor has <Z, Y> >= psd_floor *
+    Tr(Z), so a probe never answers YES where the test found a NO.  The
+    probe writes only the spent buffer of L(N), so the iterates, and so
+    every witness, are the same with or without it.
+
     Returns the certificate (SuperOp), a Witness, or None after ``max_iters``.
     """
+    # lambda_min(Y) can keep rising toward a limit below the floor; 32
+    # doublings reach s = 2^32.  No census or zoo probe rises past s = 2^24.
+    max_probes = 32
     tol = cfg.tol
     d_mid, d_tgt = family.base.d_in, family.base.d_out
     R = superop_to_choi(SuperOp(d_mid, d_tgt, family.project(family.base.matrix))).matrix
@@ -268,9 +286,10 @@ def kernel_search(family: KernelFamily, cfg: SearchConfig):
         v = v[:, :neg].copy()
         LN = family.project_directions((v * w) @ v.conj().T)  # L(N) = R - X
         R -= LN  # X
-        # A witness costs a second eigendecomposition, so it is tried only
-        # after iterations 1, 2, 4, 8, ... and the last; it converges with
-        # the iterates, so a NO comes at most about twice as late.
+        # A witness costs a second eigendecomposition, so it and the YES
+        # probe are tried only after iterations 1, 2, 4, 8, ... and the last;
+        # a witness converges with the iterates, so a NO comes at most about
+        # twice as late.
         if not iteration & (iteration + 1) or iteration + 1 == cfg.max_iters:
             # R - P again; v * w is formed before v is conjugated in place
             N = (v * w) @ np.conjugate(v, out=v).T
@@ -283,6 +302,25 @@ def kernel_search(family: KernelFamily, cfg: SearchConfig):
                 if margin < floor * float(np.trace(Z).real):
                     return Witness(choi=Z, margin=margin)
             del N, Z
+            # The YES probe: Y = X - (s - 1) L(N) from s = 2, compared first
+            # with w[0], its value at s = 0.  Y is built in L(N)'s buffer,
+            # which is spent, so no Choi-sized array is added.
+            Y = np.subtract(R, LN, out=LN)
+            lam, s = w[0], 2
+            for _ in range(max_probes):
+                lam_s = float(np.linalg.eigvalsh(Y)[0])
+                if lam_s >= floor:
+                    del v, X_prev, R
+                    return choi_to_superop(ChoiMatrix(d_mid, d_tgt, Y))
+                if lam_s <= lam:
+                    break
+                lam = lam_s
+                # Y - X = -(s - 1) L(N) becomes -(2 s - 1) L(N)
+                Y -= R
+                Y *= (2 * s - 1) / (s - 1)
+                Y += R
+                s *= 2
+            del Y
         del v, LN
         if gap > last_gap:
             t = 1.0

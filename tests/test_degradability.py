@@ -88,6 +88,19 @@ def check_witness(channel, mode, witness):
     npt.assert_allclose(value.real, witness.margin, atol=1e-9 * scale)
 
 
+def count_calls(monkeypatch, name):
+    """A list that grows by one at each call of np.linalg.<name>."""
+    calls = []
+    real = getattr(np.linalg, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 CONJUGATE_PAIRS = [
     (Mode.DEGRADABLE, Mode.CONJ_DEGRADABLE),
     (Mode.ANTIDEGRADABLE, Mode.CONJ_ANTIDEGRADABLE),
@@ -247,7 +260,8 @@ def test_search_yes_exactly_at_the_edge(family, p):
 
 
 def test_search_opens_ququart():
-    # 10 iterations; plain alternating projections need 151.
+    # The YES probe settles it at iteration 0; without the probe the momentum
+    # takes 10 iterations, and plain alternating projections 151.
     chan = td_channel(TDParams(4, -0.3))
     cfg = SearchConfig(max_iters=20)
     v = decide(Query(chan, Mode.ANTIDEGRADABLE), cfg)
@@ -268,13 +282,62 @@ def test_search_near_the_edge_is_no_within_20_iterations(family, p):
 
 
 def test_search_qutrit_within_iteration_budget():
-    # 10 iterations; plain alternating projections need 187.
+    # The YES probe settles it at iteration 0; without the probe the momentum
+    # takes 10 iterations, and plain alternating projections 187.
     chan = td_channel(TDParams(3, -0.45))
     cfg = SearchConfig(max_iters=20)
     v = decide(Query(chan, Mode.ANTIDEGRADABLE), cfg)
     assert v.status == "YES"
     ok, report = verify_certificate(chan, Mode.ANTIDEGRADABLE, v.certificate)
     assert ok and report["tp"], report
+
+
+@pytest.mark.parametrize(
+    "chan",
+    [
+        td_channel(TDParams(2, -0.6)),
+        depolarizing(DepolParams(2, 0.55)),
+        td_channel(TDParams(3, -0.45)),
+        td_channel(TDParams(4, -0.3)),
+    ],
+    ids=["td2", "depol2", "td3", "td4"],
+)
+def test_yes_probe_settles_interior_queries_at_the_first_test(chan):
+    # One iteration: the start is not CP, and the probe along the first step
+    # finds a certificate strictly inside the cone, not on its floor.
+    v = decide(Query(chan, Mode.ANTIDEGRADABLE), SearchConfig(max_iters=1))
+    assert v.status == "YES" and not v.unique
+    ok, report = verify_certificate(chan, Mode.ANTIDEGRADABLE, v.certificate)
+    assert ok and report["tp"] and report["choi_min_eigenvalue"] > 0, report
+
+
+def test_yes_probes_leave_the_qubit_edge_path_alone(monkeypatch):
+    # The edge settles at iteration 42, as without the probe (1 + 43 eigh).
+    # Its six tests, at iterations 0, 1, 3, 7, 15 and 31, each try a witness
+    # (5 eigvalsh; one margin is not negative) and end their probes when the
+    # least eigenvalue falls (20 eigvalsh).
+    eighs = count_calls(monkeypatch, "eigh")
+    eigvalshs = count_calls(monkeypatch, "eigvalsh")
+    v = decide(Query(td_channel(TDParams(2, -2 / 3)), Mode.ANTIDEGRADABLE))
+    assert v.status == "YES"
+    assert (len(eighs), len(eigvalshs)) == (1 + 43, 5 + 20)
+
+
+def test_yes_probe_stops_at_its_cap(monkeypatch):
+    # A least eigenvalue that keeps rising below the floor, from above the
+    # start's (below -0.16 at the qubit edge), ends the probe only at its
+    # cap of 32.  The first eigvalsh is the witness test's.
+    calls = []
+
+    def rising(H):
+        calls.append(None)
+        return np.array([-0.1 + 1e-6 * len(calls)])
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", rising)
+    q = Query(td_channel(TDParams(2, -2 / 3)), Mode.ANTIDEGRADABLE)
+    v = decide(q, SearchConfig(max_iters=1))
+    assert v.status == "INCONCLUSIVE"
+    assert len(calls) == 1 + 32
 
 
 @pytest.mark.parametrize(
@@ -296,21 +359,29 @@ def test_search_keeps_random_channel_nos(seed, d_out, d_env, mode):
     check_witness(chan, mode, v.witness)
 
 
-def test_search_settles_a_census_no():
-    # No CP solution; the search finds the witness after 1,023 iterations.
+def test_search_settles_a_census_no(monkeypatch):
+    # No CP solution; the search finds the witness at iteration 1,023.  The
+    # YES probes on the way leave the iterates alone: one eigh for the
+    # candidate and one for each of the 1,024 iterations, as without them.
+    eighs = count_calls(monkeypatch, "eigh")
     chan = random_channel(np.random.default_rng(9), 2, 3, 3)
     v = decide(Query(chan, Mode.DEGRADABLE))
     assert v.status == "NO"
+    assert len(eighs) == 1 + 1024
     check_witness(chan, Mode.DEGRADABLE, v.witness)
 
 
 @pytest.mark.parametrize("d, t", [(3, -1 / 8), (4, -1 / 15)])
-def test_search_settles_td_conjugate_antidegradable(d, t):
-    # About 1,500 iterations each; plain alternating projections do not
-    # settle them in 2,000.
+def test_search_settles_td_conjugate_antidegradable(monkeypatch, d, t):
+    # The YES probe settles both at iteration 1,023, where the smallest Choi
+    # eigenvalue rises with s until s is about 2^23; without the probe the
+    # momentum takes about 1,550 iterations, and plain alternating
+    # projections do not settle them in 2,000.
+    eighs = count_calls(monkeypatch, "eigh")
     chan = td_channel(TDParams(d, t))
     v = decide(Query(chan, Mode.CONJ_ANTIDEGRADABLE))
     assert v.status == "YES"
+    assert len(eighs) == 1 + 1024
     ok, report = verify_certificate(chan, Mode.CONJ_ANTIDEGRADABLE, v.certificate)
     assert ok and report["tp"], report
 
@@ -366,7 +437,8 @@ def test_one_family_projects_in_two_threads_at_once(rng):
 
 
 def test_search_gives_up_after_max_iters():
-    chan = td_channel(TDParams(3, -0.45))
+    # the qubit edge, which needs 42 iterations
+    chan = td_channel(TDParams(2, -2 / 3))
     v = decide(Query(chan, Mode.ANTIDEGRADABLE), SearchConfig(max_iters=5))
     assert v.status == "INCONCLUSIVE" and v.certificate is None and v.witness is None
 
@@ -671,8 +743,8 @@ def test_qubit_margin_vanishes_at_the_proven_edge():
 @pytest.mark.parametrize("seed", [2009, 2012, 2015, 2021])
 def test_search_settles_thin_full_rank_qubit_sets(seed):
     # Full-rank target Choi matrices whose smallest eigenvalues are near 0:
-    # 50-433 iterations, where plain alternating projections need 4,300 to
-    # over 20,000.
+    # the YES probe settles them at iterations 7-127 (50-433 without it),
+    # where plain alternating projections need 4,300 to over 20,000.
     chan = random_channel(np.random.default_rng(seed), 2, 2, 4)
     assert _qubit_antidegradable_margin(chan) > 0
     v = decide(Query(chan, Mode.ANTIDEGRADABLE))
